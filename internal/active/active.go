@@ -18,7 +18,10 @@ package active
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -72,7 +75,7 @@ func (ps ProbeSet) CoversAllEdges() bool {
 // feasible. An error is reported when some link is unreachable from
 // every candidate.
 func ComputeProbes(g *graph.Graph, candidates []graph.NodeID) (ProbeSet, error) {
-	return ComputeProbesTrees(g, candidates, g.ShortestPaths)
+	return ComputeProbesTrees(g, candidates, g.ShortestPathTree)
 }
 
 // ComputeProbesTrees is ComputeProbes with the shortest-path trees
@@ -80,171 +83,292 @@ func ComputeProbes(g *graph.Graph, candidates []graph.NodeID) (ProbeSet, error) 
 // re-probe overlapping candidate sets on the same topology (the Figure
 // 9–11 |V_B| sweeps re-draw candidates from one router pool per seed)
 // pass a memoizing provider so each router's tree is computed once per
-// seed instead of once per sweep point. The trees are only read and
-// their paths cloned before use, so a provider may serve the same tree
-// to concurrent callers.
-func ComputeProbesTrees(g *graph.Graph, candidates []graph.NodeID, treeOf func(graph.NodeID) map[graph.NodeID]graph.Path) (ProbeSet, error) {
+// seed instead of once per sweep point. The trees are only read, so a
+// provider may serve the same tree to concurrent callers.
+func ComputeProbesTrees(g *graph.Graph, candidates []graph.NodeID, treeOf func(graph.NodeID) *graph.Tree) (ProbeSet, error) {
 	if len(candidates) == 0 {
 		return ProbeSet{}, fmt.Errorf("active: no candidate beacons")
 	}
-	seen := make(map[graph.NodeID]bool, len(candidates))
+	seen := make([]bool, g.NumNodes())
 	for _, c := range candidates {
+		if c < 0 || int(c) >= len(seen) {
+			return ProbeSet{}, fmt.Errorf("active: candidate %d out of range [0,%d)", c, len(seen))
+		}
 		if seen[c] {
 			return ProbeSet{}, fmt.Errorf("active: duplicate candidate %d", c)
 		}
 		seen[c] = true
 	}
-
-	// Candidate probes between beacon pairs (both extremities in V_B):
-	// the probes of [15] run between measurement points, and they are
-	// what gives the placement phase freedom (either extremity can be
-	// the sender). Extend-across probes to a link's far end are added
-	// only as a fallback for links no pair path crosses.
-	var pairProbes []Probe
-	trees := make(map[graph.NodeID]map[graph.NodeID]graph.Path, len(candidates))
-	for _, u := range candidates {
-		trees[u] = treeOf(u)
-	}
+	trees := make([]*graph.Tree, len(candidates))
 	for i, u := range candidates {
+		trees[i] = treeOf(u)
+	}
+
+	// Greedy link cover in two passes. The first offers the probes
+	// between beacon pairs (both extremities in V_B): the probes of
+	// [15] run between measurement points, and they are what gives the
+	// placement phase freedom (either extremity can be the sender).
+	lc := newLinkCover(g, trees)
+	defer lc.release()
+	for i := range candidates {
 		for _, v := range candidates[i+1:] {
-			if p, ok := trees[u][v]; ok && p.Len() > 0 {
-				pairProbes = append(pairProbes, Probe{U: u, V: v, Path: p.Clone()})
+			if trees[i].Reachable(v) {
+				lc.add(int32(i), v, -1)
 			}
 		}
 	}
-	pairProbes = dedupeProbes(pairProbes)
-	// Extend-across fallback probes are generated lazily: on the
-	// paper's instances the beacon-pair paths almost always cover every
-	// link, so the candidates×edges fallback sweep (and its path
-	// clones) would be pure waste in the common case.
-	fallbacks := func() []Probe {
-		var fall []Probe
-		for _, u := range candidates {
-			for _, e := range g.Edges() {
-				if p, ok := extendAcross(g, trees[u], u, e); ok {
-					fall = append(fall, p)
-				}
+	lc.greedy()
+	// The second pass offers extend-across probes for the links no
+	// chosen pair path crosses. It is needed whenever a link lies on no
+	// shortest path between two candidates: a lone candidate, a sparse
+	// V_B, and above all an endpoint's access link, which no router-pair
+	// path crosses, so on the paper's POPs it runs at every sweep point.
+	// Candidates whose links are all covered are dropped before the
+	// dedupe. That cannot change the greedy's choice: gains only fall,
+	// so a zero-gain candidate is never picked, and dropping it (with
+	// every duplicate of its edge sequence) keeps the order of the
+	// rest, so the lowest-index argmax and the first-occurrence dedupe
+	// choose exactly as they would over the full list.
+	if lc.remaining > 0 {
+		lc.arena, lc.cands = lc.arena[:0], lc.cands[:0]
+		edges := g.Edges()
+		for i := range trees {
+			clear(lc.marks)
+			for _, e := range edges {
+				lc.addAcross(int32(i), e)
 			}
 		}
-		return dedupeProbes(fall)
+		lc.greedy()
 	}
-
-	// Greedy link cover in two passes: beacon-pair probes first, then
-	// fallback probes for whatever remains uncoverable by pair paths.
-	// Gains are maintained incrementally (edge → probes index,
-	// decremented as edges become covered) instead of rescanning every
-	// probe path each round — the historical scan dominated the Figure
-	// 10/11 and §7 large-POP wall time.
-	covered := make([]bool, g.NumEdges())
-	remaining := g.NumEdges()
-	var chosen []Probe
-	for pass := 0; pass < 2 && remaining > 0; pass++ {
-		cand := pairProbes
-		if pass == 1 {
-			cand = fallbacks()
-		}
-		onEdge := make([][]int32, g.NumEdges())
-		gain := make([]int, len(cand))
-		for i, p := range cand {
-			for _, e := range p.Path.Edges {
-				if !covered[e] {
-					gain[i]++
-					onEdge[e] = append(onEdge[e], int32(i))
-				}
-			}
-		}
-		for remaining > 0 {
-			best, bestGain := -1, 0
-			for i, gn := range gain {
-				if gn > bestGain {
-					best, bestGain = i, gn
-				}
-			}
-			if best < 0 {
-				break // this pass can add nothing more
-			}
-			for _, e := range cand[best].Path.Edges {
-				if !covered[e] {
-					covered[e] = true
-					remaining--
-					for _, pi := range onEdge[e] {
-						gain[pi]--
-					}
-				}
-			}
-			chosen = append(chosen, cand[best])
-		}
+	if lc.remaining > 0 {
+		return ProbeSet{}, fmt.Errorf("active: %d links unreachable from any candidate beacon", lc.remaining)
 	}
-	if remaining > 0 {
-		return ProbeSet{}, fmt.Errorf("active: %d links unreachable from any candidate beacon", remaining)
+	var probes []Probe
+	for _, cp := range lc.chosen {
+		probes = append(probes, lc.probe(cp))
 	}
-	return ProbeSet{G: g, Probes: chosen, Candidates: append([]graph.NodeID(nil), candidates...)}, nil
+	return ProbeSet{G: g, Probes: probes, Candidates: append([]graph.NodeID(nil), candidates...)}, nil
 }
 
-// extendAcross returns the probe from u that crosses edge e at its far
-// end: shortest path u⇝(nearest endpoint of e) plus e itself. It fails
-// when e's endpoints are unreachable or the extension would revisit a
-// node (non-simple path).
-func extendAcross(g *graph.Graph, paths map[graph.NodeID]graph.Path, u graph.NodeID, e graph.Edge) (Probe, bool) {
-	pa, oka := paths[e.U]
-	pb, okb := paths[e.V]
-	if !oka && !okb {
-		return Probe{}, false
-	}
-	// If the shortest path to the far endpoint already uses e, it is a
-	// probe crossing e all by itself.
-	if okb && pb.Uses(e.ID) {
-		return Probe{U: u, V: e.V, Path: pb.Clone()}, true
-	}
-	if oka && pa.Uses(e.ID) {
-		return Probe{U: u, V: e.U, Path: pa.Clone()}, true
-	}
-	// Otherwise extend the shorter reach across e.
-	try := func(base graph.Path, from, to graph.NodeID) (Probe, bool) {
-		for _, n := range base.Nodes {
-			if n == to {
-				return Probe{}, false // would revisit `to`
-			}
-		}
-		p := base.Clone()
-		p.Nodes = append(p.Nodes, to)
-		p.Edges = append(p.Edges, e.ID)
+// candProbe is a candidate probe: the path from trees[tree]'s source
+// to t, extended across edge ext when ext >= 0. Its edge sequence is
+// arena[off:end], and hash is that sequence's FNV-1a hash.
+type candProbe struct {
+	tree     int32
+	t        graph.NodeID
+	ext      graph.EdgeID
+	off, end int32
+	hash     uint64
+}
+
+// linkCover is the greedy link cover. The candidate probes of a pass
+// keep their edge sequences in one arena, and only the probes the
+// greedy chooses ever become graph.Paths.
+type linkCover struct {
+	g         *graph.Graph
+	trees     []*graph.Tree
+	covered   []bool
+	remaining int
+	arena     []graph.EdgeID
+	cands     []candProbe
+	chosen    []candProbe
+	// marks memoizes dirty for the current tree: 0 unknown, 1 clean,
+	// 2 dirty.
+	marks []int8
+	// Buffers of dedupe and greedy, kept for reuse.
+	byHash   map[uint64]int32
+	sameHash []int32
+	gain     []int32
+	onEdge   [][]int32
+}
+
+// coverPool recycles linkCovers, whose buffers are the bulk of a call's
+// allocation, across calls.
+var coverPool = sync.Pool{New: func() any { return &linkCover{byHash: make(map[uint64]int32)} }}
+
+func newLinkCover(g *graph.Graph, trees []*graph.Tree) *linkCover {
+	lc := coverPool.Get().(*linkCover)
+	lc.g, lc.trees, lc.remaining = g, trees, g.NumEdges()
+	lc.covered = zeroed(lc.covered, g.NumEdges())
+	lc.marks = zeroed(lc.marks, g.NumNodes())
+	lc.arena, lc.cands, lc.chosen = lc.arena[:0], lc.cands[:0], lc.chosen[:0]
+	return lc
+}
+
+// release returns lc to the pool without its references to the graph.
+func (lc *linkCover) release() {
+	lc.g, lc.trees = nil, nil
+	coverPool.Put(lc)
+}
+
+// zeroed returns s resized to n zero values, reusing its array.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+func (lc *linkCover) seq(cp candProbe) []graph.EdgeID { return lc.arena[cp.off:cp.end] }
+
+// probe materializes cp as a Probe with its own Path.
+func (lc *linkCover) probe(cp candProbe) Probe {
+	tree := lc.trees[cp.tree]
+	p, _ := tree.Path(cp.t)
+	v := cp.t
+	if cp.ext >= 0 {
+		e := lc.g.Edge(cp.ext)
+		v = e.Other(cp.t)
+		p.Nodes = append(p.Nodes, v)
+		p.Edges = append(p.Edges, cp.ext)
 		p.Cost += e.Weight
-		return Probe{U: u, V: to, Path: p}, true
 	}
-	if oka && okb {
-		if pa.Cost <= pb.Cost {
-			if p, ok := try(pa, e.U, e.V); ok {
-				return p, true
-			}
-			return try(pb, e.V, e.U)
-		}
-		if p, ok := try(pb, e.V, e.U); ok {
-			return p, true
-		}
-		return try(pa, e.U, e.V)
-	}
-	if oka {
-		return try(pa, e.U, e.V)
-	}
-	return try(pb, e.V, e.U)
+	return Probe{U: tree.Src(), V: v, Path: p}
 }
 
-func dedupeProbes(probes []Probe) []Probe {
-	seen := make(map[string]bool, len(probes))
-	var out []Probe
-	var buf []byte
-	for _, p := range probes {
-		buf = buf[:0]
-		for _, e := range p.Path.Edges {
-			buf = append(buf, byte(e), byte(e>>8), byte(e>>16), byte(e>>24))
-		}
-		if !seen[string(buf)] {
-			seen[string(buf)] = true
-			out = append(out, p)
+// add offers the probe along trees[tree] to t, extended across ext
+// when ext >= 0, unless it crosses no uncovered link.
+func (lc *linkCover) add(tree int32, t graph.NodeID, ext graph.EdgeID) {
+	off := len(lc.arena)
+	lc.arena = lc.trees[tree].AppendEdges(lc.arena, t)
+	if ext >= 0 {
+		lc.arena = append(lc.arena, ext)
+	}
+	gains := false
+	h := uint64(14695981039346656037)
+	for _, e := range lc.arena[off:] {
+		gains = gains || !lc.covered[e]
+		h = (h ^ uint64(e)) * 1099511628211
+	}
+	if !gains {
+		lc.arena = lc.arena[:off]
+		return
+	}
+	lc.cands = append(lc.cands, candProbe{tree: tree, t: t, ext: ext, off: int32(off), end: int32(len(lc.arena)), hash: h})
+}
+
+// dirty reports whether the path to v in tr, the current tree, crosses
+// an uncovered link.
+func (lc *linkCover) dirty(tr *graph.Tree, v graph.NodeID) bool {
+	if lc.marks[v] == 0 {
+		lc.marks[v] = 1
+		if v != tr.Src() && (!lc.covered[tr.Via(v)] || lc.dirty(tr, tr.Parent(v))) {
+			lc.marks[v] = 2
 		}
 	}
-	return out
+	return lc.marks[v] == 2
+}
+
+// addAcross offers the probe along trees[tree] that crosses edge e at
+// its far end: the shortest path to the nearer endpoint of e plus e
+// itself, or the shortest path to an endpoint when that already ends
+// with e. The extension is skipped when it would revisit a node.
+func (lc *linkCover) addAcross(tree int32, e graph.Edge) {
+	tr := lc.trees[tree]
+	if !tr.Reachable(e.U) {
+		return // e.V is then unreachable too
+	}
+	if lc.covered[e.ID] && !lc.dirty(tr, e.U) && !lc.dirty(tr, e.V) {
+		return // every form of the probe crosses covered links only
+	}
+	near, far := e.U, e.V
+	if tr.Dist(near) > tr.Dist(far) {
+		near, far = far, near
+	}
+	switch {
+	case tr.Via(e.V) == e.ID:
+		lc.add(tree, e.V, -1)
+	case tr.Via(e.U) == e.ID:
+		lc.add(tree, e.U, -1)
+	case !onPath(tr, near, far):
+		lc.add(tree, near, e.ID)
+	case !onPath(tr, far, near):
+		lc.add(tree, far, e.ID)
+	}
+}
+
+// onPath reports whether the tree's path to dst visits n.
+func onPath(tree *graph.Tree, dst, n graph.NodeID) bool {
+	for v := dst; v >= 0; v = tree.Parent(v) {
+		if v == n {
+			return true
+		}
+	}
+	return false
+}
+
+// dedupe keeps the first candidate of every distinct edge sequence.
+// Candidates are looked up by hash, and a comparison confirms each
+// match; sameHash[k] chains kept candidate k to the previous kept one
+// with its hash, or -1.
+func (lc *linkCover) dedupe() {
+	clear(lc.byHash)
+	lc.sameHash = lc.sameHash[:0]
+	kept := lc.cands[:0]
+	for _, cp := range lc.cands {
+		prev, ok := lc.byHash[cp.hash]
+		if !ok {
+			prev = -1
+		}
+		dup := false
+		for j := prev; j >= 0 && !dup; j = lc.sameHash[j] {
+			dup = slices.Equal(lc.seq(kept[j]), lc.seq(cp))
+		}
+		if !dup {
+			lc.byHash[cp.hash] = int32(len(kept))
+			lc.sameHash = append(lc.sameHash, prev)
+			kept = append(kept, cp)
+		}
+	}
+	lc.cands = kept
+}
+
+// greedy dedupes the pass's candidates, then repeatedly chooses the
+// lowest-index candidate covering the most uncovered links, until every
+// link is covered or no candidate covers another. Gains are maintained
+// incrementally (edge → candidates index, decremented as edges become
+// covered) instead of rescanning every candidate each round.
+func (lc *linkCover) greedy() {
+	lc.dedupe()
+	gain := zeroed(lc.gain, len(lc.cands))
+	onEdge := slices.Grow(lc.onEdge[:0], len(lc.covered))[:len(lc.covered)]
+	for e := range onEdge {
+		onEdge[e] = onEdge[e][:0]
+	}
+	lc.gain, lc.onEdge = gain, onEdge
+	for i, cp := range lc.cands {
+		for _, e := range lc.seq(cp) {
+			if !lc.covered[e] {
+				gain[i]++
+				onEdge[e] = append(onEdge[e], int32(i))
+			}
+		}
+	}
+	top := int32(math.MaxInt32) // the last round's best gain
+	for lc.remaining > 0 {
+		best, bestGain := -1, int32(0)
+		for i, gn := range gain {
+			if gn > bestGain {
+				best, bestGain = i, gn
+				if gn == top {
+					break // gains never rise, so no later candidate beats it
+				}
+			}
+		}
+		if best < 0 {
+			return // this pass can add nothing more
+		}
+		top = bestGain
+		for _, e := range lc.seq(lc.cands[best]) {
+			if !lc.covered[e] {
+				lc.covered[e] = true
+				lc.remaining--
+				for _, i := range onEdge[e] {
+					gain[i]--
+				}
+			}
+		}
+		lc.chosen = append(lc.chosen, lc.cands[best])
+	}
 }
 
 // Placement is the outcome of a beacon-placement algorithm.

@@ -78,6 +78,11 @@ func TestComputeProbesErrors(t *testing.T) {
 	if _, err := ComputeProbes(g, []graph.NodeID{0, 0}); err == nil {
 		t.Fatal("duplicate candidates accepted")
 	}
+	for _, bad := range []graph.NodeID{3, 9999, -1} {
+		if _, err := ComputeProbes(g, []graph.NodeID{0, bad}); err == nil {
+			t.Fatalf("out-of-range candidate %d accepted", bad)
+		}
+	}
 	// Disconnected component: link unreachable from the candidate.
 	g2 := pathGraph(3)
 	a := g2.AddNode("x")

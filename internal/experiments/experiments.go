@@ -222,12 +222,12 @@ func BeaconPlacementOn(ctx context.Context, eng *engine.Runner, cfg topology.Con
 		// The |V_B| sweep re-draws candidates from one per-seed router
 		// pool, so sweep points recompute mostly-overlapping shortest-
 		// path trees; memoizing per (figure, seed, router) computes each
-		// tree once per seed. The trees are shared read-only
-		// (ComputeProbesTrees clones paths before mutating).
-		treeOf := func(u graph.NodeID) map[graph.NodeID]graph.Path {
+		// tree once per seed. A graph.Tree is never modified after
+		// construction, so concurrent sweep points share it read-only.
+		treeOf := func(u graph.NodeID) *graph.Tree {
 			key := engine.MustKey("active/sptree", nil, figure, seed, int(u))
-			return cached(eng, key, func() map[graph.NodeID]graph.Path {
-				return sc.pop.G.ShortestPaths(u)
+			return cached(eng, key, func() *graph.Tree {
+				return sc.pop.G.ShortestPathTree(u)
 			})
 		}
 		ps, err := active.ComputeProbesTrees(sc.pop.G, cands, treeOf)

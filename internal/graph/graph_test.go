@@ -178,17 +178,32 @@ func TestShortestPathSelf(t *testing.T) {
 
 func TestShortestPathsAllDest(t *testing.T) {
 	g := line(4)
-	ps := g.ShortestPaths(0)
-	if len(ps) != 4 {
-		t.Fatalf("got %d paths, want 4", len(ps))
-	}
-	for d, p := range ps {
-		if p.Dst() != d {
-			t.Fatalf("path to %d ends at %d", d, p.Dst())
+	tr := g.ShortestPathTree(0)
+	for d := NodeID(0); d < 4; d++ {
+		p, ok := tr.Path(d)
+		if !ok {
+			t.Fatalf("no path to %d", d)
+		}
+		if p.Src() != tr.Src() || p.Dst() != d {
+			t.Fatalf("path to %d runs %d→%d", d, p.Src(), p.Dst())
 		}
 		if err := p.Validate(g); err != nil {
 			t.Fatalf("invalid path to %d: %v", d, err)
 		}
+		if p.Cost != tr.Dist(d) || !equalEdges(tr.AppendEdges(nil, d), p.Edges) {
+			t.Fatalf("path to %d = %+v, tree has cost %g edges %v", d, p, tr.Dist(d), tr.AppendEdges(nil, d))
+		}
+		if d > 0 && (tr.Via(d) != p.Edges[p.Len()-1] || tr.Parent(d) != p.Nodes[p.Len()-1]) {
+			t.Fatalf("tree enters %d by edge %d from %d, path %+v", d, tr.Via(d), tr.Parent(d), p)
+		}
+	}
+	if tr.Via(0) != -1 || tr.Parent(0) != -1 {
+		t.Fatalf("source has via %d parent %d, want -1", tr.Via(0), tr.Parent(0))
+	}
+	g.AddNode("isolated")
+	tr = g.ShortestPathTree(0)
+	if _, ok := tr.Path(4); ok || tr.Reachable(4) || tr.Parent(4) != -1 {
+		t.Fatal("isolated node reachable")
 	}
 }
 

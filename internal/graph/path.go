@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -72,18 +71,107 @@ type pqItem struct {
 	dist float64
 }
 
-type pq []pqItem
+// push and pop are container/heap's Push and Pop specialised to the
+// Dijkstra queue: the same sift code, so the same pop order, without
+// boxing every entry in an interface.
+func push(q []pqItem, it pqItem) []pqItem {
+	q = append(q, it)
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	return q
+}
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func pop(q []pqItem) (pqItem, []pqItem) {
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q[r].dist < q[j].dist {
+			j = r
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	return q[n], q[:n]
+}
+
+// Tree is the shortest-path tree Dijkstra grows from one source: the
+// distance to every node and the edge each node is reached by. It
+// stores O(nodes) and rebuilds a path only when asked, by walking the
+// predecessor edges back to the source. A Tree is never modified after
+// construction, so concurrent readers may share one.
+type Tree struct {
+	g    *Graph
+	src  NodeID
+	dist []float64
+	via  []EdgeID
+}
+
+// ShortestPathTree runs Dijkstra once from src. Ties are broken as in
+// ShortestPath.
+func (g *Graph) ShortestPathTree(src NodeID) *Tree {
+	g.checkNode(src)
+	dist, via := g.dijkstra(src, nil)
+	return &Tree{g: g, src: src, dist: dist, via: via}
+}
+
+// Src returns the tree's source.
+func (t *Tree) Src() NodeID { return t.src }
+
+// Reachable reports whether n is reachable from the source.
+func (t *Tree) Reachable(n NodeID) bool { return !math.IsInf(t.dist[n], 1) }
+
+// Dist returns the cost of the shortest path to n (+Inf when n is
+// unreachable).
+func (t *Tree) Dist(n NodeID) float64 { return t.dist[n] }
+
+// Via returns the last edge of the shortest path to n, or -1 for the
+// source and unreachable nodes.
+func (t *Tree) Via(n NodeID) EdgeID { return t.via[n] }
+
+// Parent returns the node before n on the shortest path to n, or -1
+// for the source and unreachable nodes.
+func (t *Tree) Parent(n NodeID) NodeID {
+	if t.via[n] < 0 {
+		return -1
+	}
+	return t.g.edges[t.via[n]].Other(n)
+}
+
+// AppendEdges appends the edge sequence of the shortest path to n,
+// source first, to dst. n must be reachable.
+func (t *Tree) AppendEdges(dst []EdgeID, n NodeID) []EdgeID {
+	start := len(dst)
+	for ; n != t.src; n = t.Parent(n) {
+		dst = append(dst, t.via[n])
+	}
+	seq := dst[start:]
+	for i, j := 0, len(seq)-1; i < j; i, j = i+1, j-1 {
+		seq[i], seq[j] = seq[j], seq[i]
+	}
+	return dst
+}
+
+// Path returns the shortest path to dst and true, or a zero Path and
+// false when dst is unreachable.
+func (t *Tree) Path(dst NodeID) (Path, bool) {
+	t.g.checkNode(dst)
+	if !t.Reachable(dst) {
+		return Path{}, false
+	}
+	return t.g.assemble(t.src, dst, t.dist, t.via), true
 }
 
 // ShortestPath returns the minimum-weight path from src to dst and true,
@@ -92,30 +180,7 @@ func (q *pq) Pop() interface{} {
 // across runs with the same topology (the paper's ISP-defined routing
 // strategy is deterministic).
 func (g *Graph) ShortestPath(src, dst NodeID) (Path, bool) {
-	g.checkNode(src)
-	g.checkNode(dst)
-	dist, via := g.dijkstra(src, nil)
-	if math.IsInf(dist[dst], 1) {
-		return Path{}, false
-	}
-	return g.assemble(src, dst, dist, via), true
-}
-
-// ShortestPaths runs Dijkstra once from src and returns, for every
-// reachable destination, the shortest path. Unreachable destinations are
-// absent from the map.
-func (g *Graph) ShortestPaths(src NodeID) map[NodeID]Path {
-	g.checkNode(src)
-	dist, via := g.dijkstra(src, nil)
-	out := make(map[NodeID]Path, g.NumNodes())
-	for n := 0; n < g.NumNodes(); n++ {
-		d := NodeID(n)
-		if math.IsInf(dist[d], 1) {
-			continue
-		}
-		out[d] = g.assemble(src, d, dist, via)
-	}
-	return out
+	return g.ShortestPathTree(src).Path(dst)
 }
 
 // dijkstra computes single-source shortest distances from src, skipping
@@ -130,10 +195,11 @@ func (g *Graph) dijkstra(src NodeID, banned func(EdgeID) bool) (dist []float64, 
 		via[i] = -1
 	}
 	dist[src] = 0
-	q := &pq{{node: src, dist: 0}}
+	q := append(make([]pqItem, 0, n), pqItem{node: src, dist: 0})
 	done := make([]bool, n)
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
+	for len(q) > 0 {
+		var it pqItem
+		it, q = pop(q)
 		u := it.node
 		if done[u] {
 			continue
@@ -151,7 +217,7 @@ func (g *Graph) dijkstra(src NodeID, banned func(EdgeID) bool) (dist []float64, 
 			if nd < dist[v]-1e-12 || (math.Abs(nd-dist[v]) <= 1e-12 && via[v] >= 0 && id < via[v]) {
 				dist[v] = nd
 				via[v] = id
-				heap.Push(q, pqItem{node: v, dist: nd})
+				q = push(q, pqItem{node: v, dist: nd})
 			}
 		}
 	}

@@ -98,17 +98,17 @@ func Demands(pop *topology.POP, cfg Config) []Demand {
 func Route(pop *topology.POP, demands []Demand) (*core.Instance, error) {
 	in := &core.Instance{G: pop.G}
 	// One Dijkstra per distinct source.
-	bySrc := make(map[graph.NodeID]map[graph.NodeID]graph.Path)
+	bySrc := make(map[graph.NodeID]*graph.Tree)
 	for i, d := range demands {
-		paths, ok := bySrc[d.Src]
+		tree, ok := bySrc[d.Src]
 		if !ok {
-			paths = pop.G.ShortestPaths(d.Src)
-			bySrc[d.Src] = paths
+			tree = pop.G.ShortestPathTree(d.Src)
+			bySrc[d.Src] = tree
 		}
-		p, ok := paths[d.Dst]
-		if !ok {
+		if d.Dst < 0 || int(d.Dst) >= pop.G.NumNodes() || !tree.Reachable(d.Dst) {
 			return nil, fmt.Errorf("traffic: demand %d: no route %d→%d", i, d.Src, d.Dst)
 		}
+		p, _ := tree.Path(d.Dst)
 		in.Traffics = append(in.Traffics, core.Traffic{ID: i, Path: p, Volume: d.Volume})
 	}
 	return in, nil
