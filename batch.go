@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 )
 
@@ -97,24 +96,7 @@ func (r *Runner) CacheQuarantined() int64 { return r.quarantined.Load() }
 // BatchStats returns the aggregated effort counters of every solve the
 // runner executed (cache hits do not count twice: memoized solves
 // report their effort once, when actually performed).
-func (r *Runner) BatchStats() Stats {
-	st := r.eng.Stats()
-	return Stats{
-		Nodes:            st.Nodes,
-		Pivots:           st.Pivots,
-		Refactorizations: st.Refactorizations,
-		DevexResets:      st.DevexResets,
-		WarmStarts:       st.WarmStarts,
-		CutsAdded:        st.CutsAdded,
-		VarsFixed:        st.VarsFixed,
-		PresolveRemoved:  st.PresolveRemoved,
-		StrongBranches:   st.StrongBranches,
-		SubtreeTasks:     st.SubtreeTasks,
-		Steals:           st.Steals,
-		DominancePrunes:  st.DominancePrunes,
-		Degraded:         st.Degraded,
-	}
-}
+func (r *Runner) BatchStats() Stats { return r.eng.Stats() }
 
 // SolveBatch solves every problem with the named registered solver on
 // the runner's worker pool and returns the results in input order —
@@ -164,7 +146,7 @@ func (r *Runner) SolveBatch(ctx context.Context, solver string, problems []Probl
 		if key == "" || r.eng.Cache() == nil {
 			res, err := solveWithFallback(ctx, s, p, opts)
 			if err == nil {
-				r.addStats(res)
+				r.eng.AddStats(res.Stats)
 			}
 			return res, err
 		}
@@ -177,7 +159,7 @@ func (r *Runner) SolveBatch(ctx context.Context, solver string, problems []Probl
 		v, err := r.eng.CachedUnlessCanceled(ctx, key, func() (any, error) {
 			res, err := solveWithFallback(ctx, s, p, opts)
 			if err == nil {
-				r.addStats(res)
+				r.eng.AddStats(res.Stats)
 			}
 			if err == nil && res.Degraded {
 				return nil, engine.WithoutCaching(res)
@@ -191,25 +173,6 @@ func (r *Runner) SolveBatch(ctx context.Context, solver string, problems []Probl
 		// cannot corrupt the memoized result of another.
 		cp := *v.(*Result)
 		return &cp, nil
-	})
-}
-
-// addStats folds one solve's counters into the engine aggregate.
-func (r *Runner) addStats(res *Result) {
-	r.eng.AddStats(core.SolveStats{
-		Nodes:            res.Stats.Nodes,
-		Pivots:           res.Stats.Pivots,
-		Refactorizations: res.Stats.Refactorizations,
-		DevexResets:      res.Stats.DevexResets,
-		WarmStarts:       res.Stats.WarmStarts,
-		CutsAdded:        res.Stats.CutsAdded,
-		VarsFixed:        res.Stats.VarsFixed,
-		PresolveRemoved:  res.Stats.PresolveRemoved,
-		StrongBranches:   res.Stats.StrongBranches,
-		SubtreeTasks:     res.Stats.SubtreeTasks,
-		Steals:           res.Stats.Steals,
-		DominancePrunes:  res.Stats.DominancePrunes,
-		Degraded:         res.Stats.Degraded,
 	})
 }
 

@@ -32,7 +32,7 @@ func TestMapOutputParsesBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pop, err := topology.Parse(strings.NewReader(out))
+	pop, err := topology.Read(strings.NewReader(out))
 	if err != nil {
 		t.Fatalf("generated map does not parse: %v", err)
 	}

@@ -29,11 +29,11 @@ const (
 )
 
 // churnReplayStats aggregates the replay over steps 1..N (step 0 is
-// cold for both sides and excluded, as in BenchmarkChurnResolve).
+// cold for both sides and excluded, as in BenchmarkChurnResolve): each
+// side's wall time and the warm side's summed effort counters.
 type churnReplayStats struct {
 	ColdWall, WarmWall time.Duration
-	Nodes, Pivots      int // warm-side totals
-	WarmStarts         int
+	repro.Stats
 }
 
 func churnReplay(ctx context.Context, steps int, out, progress io.Writer) (churnReplayStats, error) {
@@ -99,9 +99,7 @@ func churnReplay(ctx context.Context, steps int, out, progress io.Writer) (churn
 		if step > 0 {
 			st.ColdWall += dc
 			st.WarmWall += dw
-			st.Nodes += warm.Stats.Nodes
-			st.Pivots += warm.Stats.Pivots
-			st.WarmStarts += warm.Stats.WarmStarts
+			st.Add(warm.Stats)
 		}
 	}
 	speedup := 0.0

@@ -124,11 +124,10 @@ func ComputeProbesTrees(g *graph.Graph, candidates []graph.NodeID, treeOf func(g
 	// V_B, and above all an endpoint's access link, which no router-pair
 	// path crosses, so on the paper's POPs it runs at every sweep point.
 	// Candidates whose links are all covered are dropped before the
-	// dedupe. That cannot change the greedy's choice: gains only fall,
-	// so a zero-gain candidate is never picked, and dropping it (with
-	// every duplicate of its edge sequence) keeps the order of the
-	// rest, so the lowest-index argmax and the first-occurrence dedupe
-	// choose exactly as they would over the full list.
+	// greedy. That cannot change its choice: gains only fall, so a
+	// zero-gain candidate is never picked, and dropping it keeps the
+	// order of the rest, so the lowest-index argmax chooses exactly as
+	// it would over the full list.
 	if lc.remaining > 0 {
 		lc.arena, lc.cands = lc.arena[:0], lc.cands[:0]
 		edges := g.Edges()
@@ -152,13 +151,12 @@ func ComputeProbesTrees(g *graph.Graph, candidates []graph.NodeID, treeOf func(g
 
 // candProbe is a candidate probe: the path from trees[tree]'s source
 // to t, extended across edge ext when ext >= 0. Its edge sequence is
-// arena[off:end], and hash is that sequence's FNV-1a hash.
+// arena[off:end].
 type candProbe struct {
 	tree     int32
 	t        graph.NodeID
 	ext      graph.EdgeID
 	off, end int32
-	hash     uint64
 }
 
 // linkCover is the greedy link cover. The candidate probes of a pass
@@ -175,16 +173,14 @@ type linkCover struct {
 	// marks memoizes dirty for the current tree: 0 unknown, 1 clean,
 	// 2 dirty.
 	marks []int8
-	// Buffers of dedupe and greedy, kept for reuse.
-	byHash   map[uint64]int32
-	sameHash []int32
-	gain     []int32
-	onEdge   [][]int32
+	// Buffers of greedy, kept for reuse.
+	gain   []int32
+	onEdge [][]int32
 }
 
 // coverPool recycles linkCovers, whose buffers are the bulk of a call's
 // allocation, across calls.
-var coverPool = sync.Pool{New: func() any { return &linkCover{byHash: make(map[uint64]int32)} }}
+var coverPool = sync.Pool{New: func() any { return new(linkCover) }}
 
 func newLinkCover(g *graph.Graph, trees []*graph.Tree) *linkCover {
 	lc := coverPool.Get().(*linkCover)
@@ -233,17 +229,13 @@ func (lc *linkCover) add(tree int32, t graph.NodeID, ext graph.EdgeID) {
 	if ext >= 0 {
 		lc.arena = append(lc.arena, ext)
 	}
-	gains := false
-	h := uint64(14695981039346656037)
 	for _, e := range lc.arena[off:] {
-		gains = gains || !lc.covered[e]
-		h = (h ^ uint64(e)) * 1099511628211
+		if !lc.covered[e] {
+			lc.cands = append(lc.cands, candProbe{tree: tree, t: t, ext: ext, off: int32(off), end: int32(len(lc.arena))})
+			return
+		}
 	}
-	if !gains {
-		lc.arena = lc.arena[:off]
-		return
-	}
-	lc.cands = append(lc.cands, candProbe{tree: tree, t: t, ext: ext, off: int32(off), end: int32(len(lc.arena)), hash: h})
+	lc.arena = lc.arena[:off]
 }
 
 // dirty reports whether the path to v in tr, the current tree, crosses
@@ -296,39 +288,14 @@ func onPath(tree *graph.Tree, dst, n graph.NodeID) bool {
 	return false
 }
 
-// dedupe keeps the first candidate of every distinct edge sequence.
-// Candidates are looked up by hash, and a comparison confirms each
-// match; sameHash[k] chains kept candidate k to the previous kept one
-// with its hash, or -1.
-func (lc *linkCover) dedupe() {
-	clear(lc.byHash)
-	lc.sameHash = lc.sameHash[:0]
-	kept := lc.cands[:0]
-	for _, cp := range lc.cands {
-		prev, ok := lc.byHash[cp.hash]
-		if !ok {
-			prev = -1
-		}
-		dup := false
-		for j := prev; j >= 0 && !dup; j = lc.sameHash[j] {
-			dup = slices.Equal(lc.seq(kept[j]), lc.seq(cp))
-		}
-		if !dup {
-			lc.byHash[cp.hash] = int32(len(kept))
-			lc.sameHash = append(lc.sameHash, prev)
-			kept = append(kept, cp)
-		}
-	}
-	lc.cands = kept
-}
-
-// greedy dedupes the pass's candidates, then repeatedly chooses the
-// lowest-index candidate covering the most uncovered links, until every
-// link is covered or no candidate covers another. Gains are maintained
-// incrementally (edge → candidates index, decremented as edges become
-// covered) instead of rescanning every candidate each round.
+// greedy repeatedly chooses the lowest-index candidate covering the
+// most uncovered links, until every link is covered or no candidate
+// covers another. Gains are maintained incrementally (edge → candidates
+// index, decremented as edges become covered) instead of rescanning
+// every candidate each round. Candidates repeating an earlier one's
+// edge sequence need no removal: they have its gain in every round and
+// a higher index, so the argmax never picks them.
 func (lc *linkCover) greedy() {
-	lc.dedupe()
 	gain := zeroed(lc.gain, len(lc.cands))
 	onEdge := slices.Grow(lc.onEdge[:0], len(lc.covered))[:len(lc.covered)]
 	for e := range onEdge {
@@ -632,10 +599,7 @@ func PlaceILPOpts(ctx context.Context, ps ProbeSet, opts ILPOptions) (Placement,
 	if err != nil {
 		return Placement{}, err
 	}
-	pl.Stats = core.SolveStats{Nodes: sol.Nodes, Pivots: sol.Pivots,
-		Refactorizations: sol.Refactorizations, DevexResets: sol.DevexResets, WarmStarts: sol.WarmStarts,
-		CutsAdded: sol.CutsAdded, VarsFixed: sol.VarsFixed, PresolveRemoved: sol.PresolveRemoved,
-		StrongBranches: sol.StrongBranches, Bound: sol.Bound}
+	pl.Stats = sol.SolveStats
 	return pl, nil
 }
 

@@ -346,24 +346,3 @@ func TestComputeProbesSharedTreesConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// A hash match alone is not a duplicate: dedupe keeps a candidate whose
-// hash equals an earlier one's but whose edge sequence differs, and
-// drops only true repeats.
-func TestDedupeConfirmsHashMatches(t *testing.T) {
-	lc := &linkCover{byHash: make(map[uint64]int32), arena: []graph.EdgeID{1, 2, 2, 1, 1, 2}}
-	lc.cands = []candProbe{
-		{t: 0, off: 0, end: 2, hash: 7},
-		{t: 1, off: 2, end: 4, hash: 7}, // collides with 0, different edges
-		{t: 2, off: 4, end: 6, hash: 7}, // repeats 0
-		{t: 3, off: 2, end: 4, hash: 7}, // repeats 1
-	}
-	lc.dedupe()
-	var kept []graph.NodeID
-	for _, cp := range lc.cands {
-		kept = append(kept, cp.t)
-	}
-	if !reflect.DeepEqual(kept, []graph.NodeID{0, 1}) {
-		t.Fatalf("dedupe kept candidates %v, want [0 1]", kept)
-	}
-}

@@ -8,15 +8,20 @@ package core
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/graph"
 )
 
-// SolveStats aggregates the effort counters of an exact solver run.
-// Every solver package (passive, sampling, active) attaches one to its
-// result so the facade can report how hard a solve was and how tight
-// the proof is.
+// SolveStats is the one block of effort counters, from the solver
+// packages (mip, cover, passive, sampling, active) through the engine's
+// batch aggregate to the facade's Result.Stats, /metrics and
+// -bench-json: it reports how hard a solve was and how tight the proof
+// is. Add is the only place counters are summed.
 type SolveStats struct {
+	// Wall is the wall-clock duration of the solve, stamped by the
+	// facade (zero inside the solver packages and in aggregates).
+	Wall time.Duration
 	// Nodes is the number of branch-and-bound nodes explored (0 for
 	// pure heuristics).
 	Nodes int
@@ -30,7 +35,9 @@ type SolveStats struct {
 	// resets across all LP relaxations.
 	DevexResets int
 	// WarmStarts is the number of branch-and-bound nodes whose LP
-	// relaxation was warm-started from the parent's basis.
+	// relaxation was warm-started from the parent's basis, plus the
+	// warm artifacts (cover hint, seeded root basis) a session solve
+	// applied.
 	WarmStarts int
 	// CutsAdded is the number of cutting planes (lifted cover and
 	// clique cuts) the MIP root separation added.
@@ -51,7 +58,7 @@ type SolveStats struct {
 	SubtreeTasks int
 	// Steals is the number of subtree tasks executed by a worker other
 	// than the task's round-robin home worker — the load-balancing
-	// traffic of the parallel tree search.
+	// traffic of the parallel tree search. Always 0 for serial solves.
 	Steals int
 	// DominancePrunes is the number of sets the cover search excluded by
 	// residual-coverage dominance (in the exclude branch, any set whose
@@ -59,12 +66,32 @@ type SolveStats struct {
 	// dominance-pruned from bound-pruned work.
 	DominancePrunes int
 	// Degraded counts solves answered by a fallback solver after the
-	// primary errored (the facade's WithFallback ladder).
+	// primary errored (the facade's WithFallback ladder; 1 for a single
+	// degraded Solve, summed across a batch).
 	Degraded int
 	// Bound is the best proven bound on the objective; it equals the
 	// objective at optimality and is meaningful only when Proven or an
 	// early-stopped exact search produced it.
 	Bound float64
+}
+
+// Add sums o's counters into s. Wall and Bound are left alone: the
+// wall times of overlapping solves and the bounds of unrelated
+// objectives do not sum.
+func (s *SolveStats) Add(o SolveStats) {
+	s.Nodes += o.Nodes
+	s.Pivots += o.Pivots
+	s.Refactorizations += o.Refactorizations
+	s.DevexResets += o.DevexResets
+	s.WarmStarts += o.WarmStarts
+	s.CutsAdded += o.CutsAdded
+	s.VarsFixed += o.VarsFixed
+	s.PresolveRemoved += o.PresolveRemoved
+	s.StrongBranches += o.StrongBranches
+	s.SubtreeTasks += o.SubtreeTasks
+	s.Steals += o.Steals
+	s.DominancePrunes += o.DominancePrunes
+	s.Degraded += o.Degraded
 }
 
 // Traffic is a single-routed traffic: the aggregation of all IP flows

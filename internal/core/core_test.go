@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -114,5 +116,44 @@ func TestSingleConversion(t *testing.T) {
 	flat := mi.Paths()
 	if len(flat) != 1 || flat[0].Traffic != 0 || flat[0].Volume != 4 {
 		t.Fatalf("flat paths wrong: %+v", flat)
+	}
+}
+
+// TestSolveStatsAddSumsEveryCounter gives every counter of SolveStats
+// a distinct value and checks that Add sums each one and leaves Wall
+// and Bound alone, so a counter added to the type cannot be missed in
+// Add.
+func TestSolveStatsAddSumsEveryCounter(t *testing.T) {
+	a := SolveStats{Wall: time.Second, Bound: 3.5}
+	b := SolveStats{Wall: time.Minute, Bound: 7.25}
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	counters := 0
+	for i := 0; i < va.NumField(); i++ {
+		f := va.Type().Field(i)
+		if f.Name == "Wall" || f.Name == "Bound" {
+			continue
+		}
+		if f.Type.Kind() != reflect.Int {
+			t.Fatalf("field %s is %s; Add and this test expect int counters", f.Name, f.Type)
+		}
+		va.Field(i).SetInt(int64(i + 1))
+		vb.Field(i).SetInt(int64(1000 * (i + 1)))
+		counters++
+	}
+	if counters == 0 {
+		t.Fatal("no counters found")
+	}
+	a.Add(b)
+	for i := 0; i < va.NumField(); i++ {
+		f := va.Type().Field(i)
+		if f.Type.Kind() != reflect.Int {
+			continue
+		}
+		if got, want := va.Field(i).Int(), int64(1001*(i+1)); got != want {
+			t.Errorf("after Add, %s = %d, want %d", f.Name, got, want)
+		}
+	}
+	if a.Wall != time.Second || a.Bound != 3.5 {
+		t.Errorf("Add changed Wall or Bound: %v, %g", a.Wall, a.Bound)
 	}
 }

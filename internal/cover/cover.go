@@ -16,6 +16,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/lp"
 )
 
@@ -120,34 +121,28 @@ type Result struct {
 	Feasible bool
 	// Exact is true when the result is provably optimal.
 	Exact bool
-	// Nodes counts branch-and-bound nodes (exact solver only). With
-	// Workers > 1 the total is schedule-dependent for subtrees the
-	// shared incumbent aborted early; at Workers <= 1 it is exactly
-	// reproducible.
-	Nodes int
-	// SetsBanned counts the sets permanently excluded by the root LP's
-	// reduced-cost fixing (exact solver only).
-	SetsBanned int
-	// SubtreeTasks is the number of frontier subtree tasks dispatched
-	// over the worker pool (0 when the search closed in the serial
-	// burn-in). The frontier is worker-count independent.
-	SubtreeTasks int
-	// Steals counts subtree tasks executed by a worker other than their
-	// round-robin home worker (always 0 for serial searches).
-	Steals int
-	// DominancePrunes counts the sets excluded by in-search residual
-	// dominance (exclude branches drop every candidate whose residual
-	// coverage the branched set contains), distinguishing dominance-
-	// pruned from bound-pruned work. Schedule-dependent like Nodes when
-	// Workers > 1.
-	DominancePrunes int
-	// Pivots is the total simplex iterations of the root LP solves
-	// (0 when the LP was skipped).
-	Pivots int
-	// WarmStarts counts the warm artifacts the solve applied: an
-	// adopted incumbent hint and a root LP completed on a seeded basis
-	// each count one. Always 0 for cold solves.
-	WarmStarts int
+	// SolveStats carries the exact solver's effort counters (all zero
+	// for the greedies):
+	//   - Nodes, the branch-and-bound nodes. With Workers > 1 the total
+	//     is schedule-dependent for subtrees the shared incumbent
+	//     aborted early; at Workers <= 1 it is exactly reproducible.
+	//   - VarsFixed, the sets permanently excluded by the root LP's
+	//     reduced-cost fixing.
+	//   - SubtreeTasks, the frontier subtree tasks dispatched over the
+	//     worker pool (0 when the search closed in the serial burn-in).
+	//     The frontier is worker-count independent.
+	//   - Steals, the subtree tasks executed by a worker other than
+	//     their round-robin home worker (0 for serial searches).
+	//   - DominancePrunes, the sets excluded by in-search residual
+	//     dominance (exclude branches drop every candidate whose
+	//     residual coverage the branched set contains). Schedule-
+	//     dependent like Nodes when Workers > 1.
+	//   - Pivots, the simplex iterations of the root LP solves (0 when
+	//     the LP was skipped).
+	//   - WarmStarts, the warm artifacts the solve applied: an adopted
+	//     incumbent hint and a root LP completed on a seeded basis each
+	//     count one. Always 0 for cold solves.
+	core.SolveStats
 }
 
 // GreedyPartial runs the classical greedy for Minimum Partial Cover: it
@@ -375,7 +370,7 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 		if hw, ok := hintCovered(in, w.Hint); ok && hw >= target-coverTol(target) && len(w.Hint) < s.bestLen {
 			s.best = append([]int(nil), w.Hint...)
 			s.bestLen = len(w.Hint)
-			s.warmStarts++
+			s.st.WarmStarts++
 		}
 		if s.haveRootLB && s.bestLen <= s.rootLB {
 			proven = true // the dual root bound already meets the hint
@@ -461,13 +456,7 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 	r.search(covered, coveredW, baseUncov0, forced)
 	if r.doneOptimal {
 		res := r.resultOn(in)
-		res.Nodes += s.nodes
-		res.DominancePrunes += s.domPrunes
-		res.SubtreeTasks = s.subtreeTasks
-		res.Steals = s.steals
-		res.Pivots = s.pivots
-		res.WarmStarts = s.warmStarts
-		res.SetsBanned = countBans(s.banned)
+		res.Add(s.effort())
 		return res
 	}
 	if ctx.Err() != nil {
@@ -476,8 +465,7 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 		// Exact=false like every canceled search.
 		s.capped = true
 		res := s.resultOn(in)
-		res.Nodes += r.nodes
-		res.DominancePrunes += r.domPrunes
+		res.Add(r.effort())
 		return res
 	}
 	// The reconstruction exhausted its own node budget before accepting
@@ -487,13 +475,8 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 	// canonical witness was not reproduced within budget.
 	g := greedy
 	g.Exact = false
-	g.Nodes = s.nodes + r.nodes
-	g.DominancePrunes = s.domPrunes + r.domPrunes
-	g.SubtreeTasks = s.subtreeTasks
-	g.Steals = s.steals
-	g.Pivots = s.pivots
-	g.WarmStarts = s.warmStarts
-	g.SetsBanned = countBans(s.banned)
+	g.SolveStats = s.effort()
+	g.Add(r.effort())
 	return g
 }
 
@@ -574,9 +557,9 @@ func (s *exactSearch) runValuePhases(opts ExactOptions, workers int, excluded []
 // reduced-cost bans, effort counters, and the captured basis.
 func (s *exactSearch) noteRootLP(z float64, dj []float64, sol *lp.Solution) {
 	s.lpZ, s.lpDj = z, dj
-	s.pivots += sol.Iterations
+	s.st.Pivots += sol.Iterations
 	if sol.Warm {
-		s.warmStarts++
+		s.st.WarmStarts++
 	}
 	if s.capture != nil {
 		s.capture.Basis = sol.Basis()
@@ -624,15 +607,16 @@ func lpRowsOK(in Instance) bool {
 	return rows <= rootLPRowCap
 }
 
-// countBans counts the sets excluded by reduced-cost fixing.
-func countBans(banned []bool) int {
-	n := 0
-	for _, b := range banned {
+// effort returns the search's counters with the sets excluded by
+// reduced-cost fixing counted as VarsFixed.
+func (s *exactSearch) effort() core.SolveStats {
+	st := s.st
+	for _, b := range s.banned {
 		if b {
-			n++
+			st.VarsFixed++
 		}
 	}
-	return n
+	return st
 }
 
 // frontierDepth is the branching depth at which the tree is cut into
@@ -827,9 +811,14 @@ type exactSearch struct {
 	tol     float64 // coverTol(target), shared by every phase and task
 	best    []int
 	bestLen int
-	nodes   int
 	maxN    int
 	capped  bool
+
+	// st counts the search's effort. Nodes and DominancePrunes count
+	// in every search and task clone; SubtreeTasks, Steals, Pivots and
+	// WarmStarts only in the root search. VarsFixed is derived from
+	// banned by effort.
+	st core.SolveStats
 
 	// Root LP strengthening state (the set-cover face of the MIP
 	// pipeline, see DESIGN.md §4). The LP is paid at most once, at the
@@ -862,11 +851,8 @@ type exactSearch struct {
 	dualUncov0 float64
 
 	// In-search dominance state: setMasks[si] is set si's positive-
-	// weight element bitmap (nil = dominance off or set root-excluded);
-	// domPrunes counts the sets the exclude-branch dominance rule
-	// dropped.
-	setMasks  []bitset
-	domPrunes int
+	// weight element bitmap (nil = dominance off or set root-excluded).
+	setMasks []bitset
 
 	// Frontier expansion state: with frontierDepth >= 0 the search
 	// stops descending at that branching depth and snapshots the node
@@ -888,17 +874,11 @@ type exactSearch struct {
 	taskLB  int
 	aborted bool
 
-	// Counters reported by the parallel phase (root search only).
-	subtreeTasks int
-	steals       int
-
-	// Root LP effort and warm-artifact counters (root search only), and
-	// the caller's capture sink for the final root LP basis. seedBasis
-	// warm-starts the phase-2 root LP when a previous solve shipped one.
-	pivots     int
-	warmStarts int
-	capture    *Capture
-	seedBasis  *lp.Basis
+	// The caller's capture sink for the final root LP basis (root
+	// search only). seedBasis warm-starts the phase-2 root LP when a
+	// previous solve shipped one.
+	capture   *Capture
+	seedBasis *lp.Basis
 
 	// Disjoint-elements bound state (full covers only): per-element
 	// covering-set bitmaps in a processing order of increasing coverer
@@ -1296,8 +1276,8 @@ func (s *exactSearch) search(covered bitset, coveredW, dualUncov float64, chosen
 	if s.capped || s.doneOptimal || s.aborted {
 		return
 	}
-	s.nodes++
-	if s.nodes > s.maxN {
+	s.st.Nodes++
+	if s.st.Nodes > s.maxN {
 		s.capped = true
 		return
 	}
@@ -1307,7 +1287,7 @@ func (s *exactSearch) search(covered bitset, coveredW, dualUncov float64, chosen
 	// task's static root bound proves it cannot beat a published cover,
 	// the whole subtree is dropped (a proof, not a cap — the merge is
 	// unchanged because everything in here loses it anyway).
-	if s.nodes&1023 == 0 {
+	if s.st.Nodes&1023 == 0 {
 		if s.ctx.Err() != nil {
 			s.capped = true
 			return
@@ -1439,7 +1419,7 @@ func (s *exactSearch) excludeDominatedBy(branch int, covered bitset) {
 			s.undoT = append(s.undoT, int32(sj))
 			s.undoG = append(s.undoG, s.gains[sj])
 			s.gains[sj] = 0
-			s.domPrunes++
+			s.st.DominancePrunes++
 		}
 	}
 }

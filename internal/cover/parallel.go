@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 )
 
@@ -123,8 +124,8 @@ type subtreeOut struct {
 	length   int
 	improved bool
 	capped   bool
-	nodes    int
-	domPrune int
+	// st is the task's effort: its Nodes and DominancePrunes.
+	st core.SolveStats
 }
 
 // runSubtrees dispatches the frontier over a workers-bounded pool and
@@ -132,7 +133,7 @@ type subtreeOut struct {
 func (s *exactSearch) runSubtrees(workers, maxNodes int) {
 	tasks := s.tasks
 	s.tasks = nil
-	s.subtreeTasks = len(tasks)
+	s.st.SubtreeTasks = len(tasks)
 	// Static per-task node budgets: an even share of the remaining
 	// global budget, raised to a small floor so no task is dispatched
 	// with a useless sliver — but cumulatively clamped so the floor
@@ -141,7 +142,7 @@ func (s *exactSearch) runSubtrees(workers, maxNodes int) {
 	// running, exactly like the subtrees a serial search with the same
 	// budget would never reach. All quantities are static, so budgets
 	// are identical for any worker count.
-	remaining := maxNodes - s.nodes
+	remaining := maxNodes - s.st.Nodes
 	if remaining < 0 {
 		remaining = 0
 	}
@@ -184,11 +185,7 @@ func (s *exactSearch) runSubtrees(workers, maxNodes int) {
 			return subtreeOut{}, nil
 		}
 		c := s.taskSearch(t, budgets[i], &g)
-		o := subtreeOut{
-			length:   c.bestLen,
-			nodes:    c.nodes,
-			domPrune: c.domPrunes,
-		}
+		o := subtreeOut{length: c.bestLen, st: c.st}
 		if !c.aborted {
 			o.capped = c.capped
 			if c.bestLen < seedLen {
@@ -201,10 +198,9 @@ func (s *exactSearch) runSubtrees(workers, maxNodes int) {
 		return o, nil
 	})
 
-	s.steals = ts.Steals
+	s.st.Steals = ts.Steals
 	for _, o := range outs {
-		s.nodes += o.nodes
-		s.domPrunes += o.domPrune
+		s.st.Add(o.st)
 		if o.improved && o.length < s.bestLen {
 			s.bestLen, s.best = o.length, o.chosen
 		}
@@ -227,22 +223,7 @@ func (s *exactSearch) runSubtrees(workers, maxNodes int) {
 // resultOn assembles the Result, re-expanding the chosen sets on the
 // original (pre-merge, pre-presolve) instance.
 func (s *exactSearch) resultOn(orig Instance) Result {
-	res := Result{
-		Chosen:          s.best,
-		Feasible:        true,
-		Exact:           !s.capped,
-		Nodes:           s.nodes,
-		SubtreeTasks:    s.subtreeTasks,
-		Steals:          s.steals,
-		DominancePrunes: s.domPrunes,
-		Pivots:          s.pivots,
-		WarmStarts:      s.warmStarts,
-	}
-	for _, b := range s.banned {
-		if b {
-			res.SetsBanned++
-		}
-	}
+	res := Result{Chosen: s.best, Feasible: true, Exact: !s.capped, SolveStats: s.effort()}
 	final := newBitset(orig.NumElements)
 	for _, si := range s.best {
 		for _, e := range orig.Sets[si] {

@@ -59,7 +59,7 @@ func TestRootLPNeverExcisesOptimum(t *testing.T) {
 		if lp.Covered < target-1e-9 {
 			t.Fatalf("seed %d: strengthened cover misses the target: %g < %g", seed, lp.Covered, target)
 		}
-		banned += lp.SetsBanned
+		banned += lp.VarsFixed
 	}
 	if banned == 0 {
 		t.Fatal("reduced-cost set bans never engaged across the whole family")

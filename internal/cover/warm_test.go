@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // churnInstance builds a covering instance with no universal set: every
@@ -73,8 +75,7 @@ func mutateWeights(in Instance, seed int64) Instance {
 // the answer (cover, coverage, flags), while Nodes/Pivots/etc. reflect
 // how much work the proof needed, which warm starts exist to shrink.
 func answerOf(r Result) Result {
-	r.Nodes, r.Pivots, r.WarmStarts = 0, 0, 0
-	r.SetsBanned, r.SubtreeTasks, r.Steals, r.DominancePrunes = 0, 0, 0, 0
+	r.SolveStats = core.SolveStats{}
 	return r
 }
 

@@ -69,24 +69,11 @@ func (r *Runner) Workers() int { return r.workers }
 // Cache returns the runner's solve cache (nil when memoization is off).
 func (r *Runner) Cache() *Cache { return r.cache }
 
-// AddStats folds one solve's effort counters into the batch aggregate.
-// The Bound field is not aggregated (bounds of unrelated solves do not
-// sum); counters are.
+// AddStats folds one solve's effort counters into the batch aggregate
+// (see core.SolveStats.Add).
 func (r *Runner) AddStats(st core.SolveStats) {
 	r.mu.Lock()
-	r.stats.Nodes += st.Nodes
-	r.stats.Pivots += st.Pivots
-	r.stats.Refactorizations += st.Refactorizations
-	r.stats.DevexResets += st.DevexResets
-	r.stats.WarmStarts += st.WarmStarts
-	r.stats.CutsAdded += st.CutsAdded
-	r.stats.VarsFixed += st.VarsFixed
-	r.stats.PresolveRemoved += st.PresolveRemoved
-	r.stats.StrongBranches += st.StrongBranches
-	r.stats.SubtreeTasks += st.SubtreeTasks
-	r.stats.Steals += st.Steals
-	r.stats.DominancePrunes += st.DominancePrunes
-	r.stats.Degraded += st.Degraded
+	r.stats.Add(st)
 	r.mu.Unlock()
 }
 

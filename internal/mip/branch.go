@@ -170,7 +170,7 @@ func (s *search) strongProbe(j int, up bool, frac, rootObj float64, basis *lp.Ba
 		return
 	}
 	s.addEffort(sol)
-	s.strongBranches++
+	s.st.StrongBranches++
 	switch sol.Status {
 	case lp.Optimal:
 		s.pc.observe(j, up, s.worsen(sol.Objective, rootObj), frac)

@@ -478,10 +478,7 @@ func (s *search) cutLoop(rootSol *lp.Solution) *lp.Solution {
 			}
 			return rootSol
 		}
-		s.cutsAdded += len(cuts)
-		if s.opts.CaptureCuts {
-			s.capturedCuts = append(s.capturedCuts, cutRowsToCuts(cuts)...)
-		}
+		s.st.CutsAdded += len(cuts)
 		rootSol = ns
 		s.bestBound = ns.Objective
 	}

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/lp"
 )
 
@@ -97,25 +98,6 @@ type Options struct {
 	NoStrongBranch bool
 	// CutRounds caps the root cutting-plane rounds (0 = default 8).
 	CutRounds int
-	// SeedCuts warm-starts the root relaxation with cutting planes
-	// captured from a previous solve (Solution.Cuts, original variable
-	// space). Seeds must be valid inequalities for THIS problem — see
-	// the contract in warm.go; an identical model is always safe. Bad
-	// seeds that break the root LP are rolled back wholesale. Ignored
-	// on the plain tree.
-	SeedCuts []Cut
-	// CaptureCuts records the root cuts (seeded + separated) of this
-	// solve in Solution.Cuts for reuse by a later solve.
-	CaptureCuts bool
-	// SeedPseudo warm-starts pseudo-cost branching with a table
-	// captured from a previous solve (Solution.Pseudo). A non-empty
-	// seed also stands in for the strong-branching probes. Heuristic
-	// only: stale estimates cost nodes, never correctness. Ignored
-	// unless Branching is PseudoCost on the strengthened tree.
-	SeedPseudo *PseudoSnapshot
-	// CapturePseudo records the final pseudo-cost table in
-	// Solution.Pseudo.
-	CapturePseudo bool
 }
 
 // BranchRule selects which fractional variable to branch on.
@@ -151,48 +133,16 @@ type Solution struct {
 	// (rounded from within IntTol). Presolve is invisible here: X is
 	// always full-length in the caller's variable space.
 	X []float64
-	// Nodes is the number of branch-and-bound nodes explored.
-	Nodes int
-	// Pivots is the total simplex iterations across all LP solves:
-	// node relaxations (including interrupted nodes and warm-start
-	// attempts that fell back to a cold solve), root cutting-plane
-	// re-solves, and strong-branching probes.
-	Pivots int
-	// Bound is the best proven bound on the optimum (equals Objective
-	// at optimality, tighter than Objective only on early stop).
-	Bound float64
-	// Refactorizations is the total basis LU refactorizations across
-	// all LP solves (0 with the dense tableau).
-	Refactorizations int
-	// DevexResets is the total Devex reference-framework resets across
-	// all LP solves.
-	DevexResets int
-	// WarmStarts counts the child nodes whose relaxation was solved
-	// from the parent's basis instead of a cold phase-1 start.
-	WarmStarts int
-	// CutsAdded counts the lifted cover and clique cutting planes the
-	// root separation added to the relaxation.
-	CutsAdded int
-	// VarsFixed counts the integer variables permanently fixed by
-	// reduced-cost fixing (after the root LP and on every incumbent
-	// improvement).
-	VarsFixed int
-	// PresolveRemoved counts the columns and rows presolve removed
-	// before the root solve.
-	PresolveRemoved int
-	// StrongBranches counts the strong-branching probe LPs solved to
-	// initialize the pseudo-cost estimates.
-	StrongBranches int
-	// CutsSeeded counts the caller-provided cuts (Options.SeedCuts)
-	// accepted into the root relaxation (0 when the seed batch was
-	// rolled back or none was given).
-	CutsSeeded int
-	// Cuts holds the root cutting planes of this solve in the original
-	// variable space when Options.CaptureCuts is set (nil otherwise).
-	Cuts []Cut
-	// Pseudo holds the final pseudo-cost table in the original
-	// variable space when Options.CapturePseudo is set (nil otherwise).
-	Pseudo *PseudoSnapshot
+	// SolveStats carries the effort counters a MIP solve fills: Nodes,
+	// Pivots (every LP solve, including interrupted nodes, warm-start
+	// attempts that fell back to a cold solve, root cutting-plane
+	// re-solves and strong-branching probes), Refactorizations and
+	// DevexResets (0 with the dense tableau), WarmStarts (child nodes
+	// solved from the parent's basis), CutsAdded, VarsFixed,
+	// PresolveRemoved and StrongBranches. Bound is the best proven bound
+	// on the optimum (equal to Objective at optimality, tighter than
+	// Objective only on early stop).
+	core.SolveStats
 }
 
 // Value returns the solved value of v.
@@ -333,16 +283,16 @@ func (p *Problem) SolveContext(ctx context.Context) (*Solution, error) {
 func (p *Problem) solveStrengthened(ctx context.Context, opts Options) (*Solution, error) {
 	pre := presolveProblem(p, opts)
 	if pre.infeasible {
-		return &Solution{Status: lp.Infeasible, PresolveRemoved: pre.removed}, nil
+		return &Solution{Status: lp.Infeasible, SolveStats: core.SolveStats{PresolveRemoved: pre.removed}}, nil
 	}
 	if pre.unbounded {
-		return &Solution{Status: lp.Unbounded, PresolveRemoved: pre.removed}, nil
+		return &Solution{Status: lp.Unbounded, SolveStats: core.SolveStats{PresolveRemoved: pre.removed}}, nil
 	}
 	if pre.red.lp.NumVariables() == 0 {
 		// Presolve fixed everything: the instance is solved outright.
 		x := pre.restore(nil)
 		return &Solution{Status: lp.Optimal, Objective: pre.constant, X: x,
-			Bound: pre.constant, PresolveRemoved: pre.removed}, nil
+			SolveStats: core.SolveStats{Bound: pre.constant, PresolveRemoved: pre.removed}}, nil
 	}
 	red := pre.red
 	// The reduced problem inherits the caller's raw options: the final
@@ -355,11 +305,6 @@ func (p *Problem) solveStrengthened(ctx context.Context, opts Options) (*Solutio
 	} else {
 		ropts.Incumbent = nil
 	}
-	// Warm-start artifacts cross the presolve boundary in the original
-	// variable space: seeds are projected onto the kept variables here,
-	// captures are lifted back below.
-	ropts.SeedCuts = projectCuts(opts.SeedCuts, pre)
-	ropts.SeedPseudo = projectPseudo(opts.SeedPseudo, pre, p.lp.NumVariables())
 	sol, err := red.solveTree(ctx, ropts, pre)
 	if err != nil {
 		return nil, err
@@ -368,12 +313,6 @@ func (p *Problem) solveStrengthened(ctx context.Context, opts Options) (*Solutio
 		sol.X = pre.restore(sol.X)
 		sol.Objective += pre.constant
 		sol.Bound += pre.constant
-	}
-	if sol.Cuts != nil {
-		sol.Cuts = liftCuts(sol.Cuts, pre)
-	}
-	if sol.Pseudo != nil {
-		sol.Pseudo = liftPseudo(sol.Pseudo, pre)
 	}
 	sol.PresolveRemoved = pre.removed
 	return sol, nil
@@ -437,7 +376,7 @@ func (p *Problem) solveTree(ctx context.Context, opts Options, pre *presolveStat
 	}
 
 	for s.q.Len() > 0 {
-		if s.nodes >= opts.MaxNodes {
+		if s.st.Nodes >= opts.MaxNodes {
 			break
 		}
 		if ctx.Err() != nil {
@@ -447,7 +386,7 @@ func (p *Problem) solveTree(ctx context.Context, opts Options, pre *presolveStat
 		// Strong branching is lazy: only a tree that proved nontrivial
 		// pays for root probes (small searches finish before the
 		// threshold and skip the 2×strongBranchCandidates LPs).
-		if s.pc != nil && !s.probed && !opts.NoStrongBranch && s.nodes >= strongBranchTrigger {
+		if s.pc != nil && !s.probed && !opts.NoStrongBranch && s.st.Nodes >= strongBranchTrigger {
 			s.probed = true
 			s.applyBase()
 			s.strongBranchInit(s.rootSol)
@@ -463,7 +402,7 @@ func (p *Problem) solveTree(ctx context.Context, opts Options, pre *presolveStat
 		if !s.applyNodeBounds(nd) {
 			continue
 		}
-		s.nodes++
+		s.st.Nodes++
 
 		sol, err := p.lp.SolveContextFrom(ctx, nd.basis)
 		if err != nil {
@@ -471,7 +410,7 @@ func (p *Problem) solveTree(ctx context.Context, opts Options, pre *presolveStat
 		}
 		s.addEffort(sol)
 		if sol.Warm {
-			s.warmStarts++
+			s.st.WarmStarts++
 		}
 		if sol.Status == lp.Canceled || sol.Status == lp.IterLimit {
 			// The node's subtree was not explored: push it back so its
@@ -521,8 +460,8 @@ type search struct {
 	incObj    float64
 	bestBound float64
 
-	nodes, pivots, refactors, devexResets, warmStarts int
-	cutsAdded, varsFixed, strongBranches              int
+	// st accumulates the effort counters; finish sets its Bound.
+	st core.SolveStats
 	// interrupted records why the search stopped before exhausting the
 	// tree: lp.Canceled (context fired) or lp.IterLimit (node budget or
 	// a capped node relaxation). lp.Optimal means no interruption.
@@ -541,11 +480,6 @@ type search struct {
 	rootMin  float64
 	rootSide []int8 // 1 = nonbasic at lower, 2 = at upper
 	fixedVar []bool
-
-	// Warm-start artifact capture (reduced space until the presolve
-	// lift in solveStrengthened).
-	capturedCuts []Cut
-	cutsSeeded   int
 
 	chainBuf []*node
 }
@@ -590,9 +524,9 @@ func (s *search) pruneSlack() float64 {
 }
 
 func (s *search) addEffort(sol *lp.Solution) {
-	s.pivots += sol.Iterations
-	s.refactors += sol.Refactorizations
-	s.devexResets += sol.DevexResets
+	s.st.Pivots += sol.Iterations
+	s.st.Refactorizations += sol.Refactorizations
+	s.st.DevexResets += sol.DevexResets
 }
 
 // minForm converts a user-sense objective value to minimization form.
@@ -680,7 +614,7 @@ func (s *search) root(pre *presolveState) (done bool, err error) {
 		defer p.lp.SetExtractDuals(false)
 	}
 
-	s.nodes++
+	s.st.Nodes++
 	sol, err := p.lp.SolveContext(s.ctx)
 	if err != nil {
 		return false, fmt.Errorf("mip: root relaxation: %w", err)
@@ -703,12 +637,6 @@ func (s *search) root(pre *presolveState) (done bool, err error) {
 		return true, nil
 	}
 
-	if strengthen && len(opts.SeedCuts) > 0 {
-		sol = s.injectSeedCuts(sol)
-		if s.interrupted != lp.Optimal {
-			return true, nil
-		}
-	}
 	if strengthen && !opts.NoCuts {
 		sol = s.cutLoop(sol)
 		if s.interrupted != lp.Optimal {
@@ -730,12 +658,6 @@ func (s *search) root(pre *presolveState) (done bool, err error) {
 		// (triggered by the tree loop at strongBranchTrigger nodes) so
 		// small searches never pay for the probes.
 		s.pc = newPseudoCosts(p.lp.NumVariables())
-		if s.pc.seed(opts.SeedPseudo) {
-			// A seeded table stands in for the strong-branching probes:
-			// the estimates it carries came from real branching history,
-			// which is exactly what the probes approximate.
-			s.probed = true
-		}
 		s.rootSol = sol
 		branchVar = p.pickBranch(sol.X, opts, s.pc)
 		if branchVar < 0 {
@@ -798,13 +720,13 @@ func (s *search) reducedCostFix() {
 			if dj > epsFix && s.rootMin+dj >= cutoff {
 				s.base[j] = [2]float64{lo, lo}
 				s.fixedVar[j] = true
-				s.varsFixed++
+				s.st.VarsFixed++
 			}
 		case 2: // nonbasic at upper; moving down one unit costs -dj
 			if dj < -epsFix && s.rootMin-dj >= cutoff {
 				s.base[j] = [2]float64{hi, hi}
 				s.fixedVar[j] = true
-				s.varsFixed++
+				s.st.VarsFixed++
 			}
 		}
 	}
@@ -816,9 +738,7 @@ const epsFix = 1e-9
 // finish assembles the Solution exactly as the historical tree did.
 func (s *search) finish() *Solution {
 	if s.rootUnbounded {
-		return s.attachWarm(&Solution{Status: lp.Unbounded, Nodes: s.nodes, Pivots: s.pivots,
-			Refactorizations: s.refactors, DevexResets: s.devexResets, WarmStarts: s.warmStarts,
-			CutsAdded: s.cutsAdded, VarsFixed: s.varsFixed, StrongBranches: s.strongBranches})
+		return &Solution{Status: lp.Unbounded, SolveStats: s.st}
 	}
 	// On an early stop the best-first queue's top relaxation is the best
 	// still-open bound; combine it with the proven root bound, and never
@@ -837,12 +757,10 @@ func (s *search) finish() *Solution {
 		switch {
 		case s.interrupted != lp.Optimal:
 			st = s.interrupted
-		case s.nodes >= s.opts.MaxNodes:
+		case s.st.Nodes >= s.opts.MaxNodes:
 			st = lp.IterLimit
 		}
-		return s.attachWarm(&Solution{Status: st, Nodes: s.nodes, Pivots: s.pivots,
-			Refactorizations: s.refactors, DevexResets: s.devexResets, WarmStarts: s.warmStarts,
-			CutsAdded: s.cutsAdded, VarsFixed: s.varsFixed, StrongBranches: s.strongBranches})
+		return &Solution{Status: st, SolveStats: s.st}
 	}
 	st := lp.Optimal
 	switch {
@@ -850,7 +768,7 @@ func (s *search) finish() *Solution {
 		// Even with an empty queue the interrupted node may hide better
 		// solutions, so an interrupted search never claims optimality.
 		st = s.interrupted
-	case s.q.Len() > 0 && s.nodes >= s.opts.MaxNodes:
+	case s.q.Len() > 0 && s.st.Nodes >= s.opts.MaxNodes:
 		st = lp.IterLimit
 	default:
 		// The tree is exhausted: the incumbent is optimal within the
@@ -862,10 +780,8 @@ func (s *search) finish() *Solution {
 			s.bestBound = s.incObj + s.pruneSlack()
 		}
 	}
-	return s.attachWarm(&Solution{Status: st, Objective: s.incObj, X: s.incumbent, Nodes: s.nodes,
-		Pivots: s.pivots, Bound: s.bestBound,
-		Refactorizations: s.refactors, DevexResets: s.devexResets, WarmStarts: s.warmStarts,
-		CutsAdded: s.cutsAdded, VarsFixed: s.varsFixed, StrongBranches: s.strongBranches})
+	s.st.Bound = s.bestBound
+	return &Solution{Status: st, Objective: s.incObj, X: s.incumbent, SolveStats: s.st}
 }
 
 // evaluateIncumbent validates a warm-start solution: feasible for the

@@ -265,10 +265,7 @@ func ilpPlacement(in *core.Instance, xs []lp.Var, sol *mip.Solution, method stri
 		}
 	}
 	pl := finish(in, edges, exact, method)
-	pl.Stats = core.SolveStats{Nodes: sol.Nodes, Pivots: sol.Pivots,
-		Refactorizations: sol.Refactorizations, DevexResets: sol.DevexResets, WarmStarts: sol.WarmStarts,
-		CutsAdded: sol.CutsAdded, VarsFixed: sol.VarsFixed, PresolveRemoved: sol.PresolveRemoved,
-		StrongBranches: sol.StrongBranches, Bound: sol.Bound}
+	pl.Stats = sol.SolveStats
 	return pl, nil
 }
 

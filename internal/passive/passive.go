@@ -156,13 +156,7 @@ func ExactCover(ctx context.Context, in *core.Instance, k float64, opts cover.Ex
 		panic("passive: exact search found valid instance infeasible")
 	}
 	pl := finish(in, edgeIDs(res.Chosen), res.Exact, "exact-cover")
-	pl.Stats.Nodes = res.Nodes
-	pl.Stats.VarsFixed = res.SetsBanned
-	pl.Stats.SubtreeTasks = res.SubtreeTasks
-	pl.Stats.Steals = res.Steals
-	pl.Stats.DominancePrunes = res.DominancePrunes
-	pl.Stats.Pivots = res.Pivots
-	pl.Stats.WarmStarts = res.WarmStarts
+	pl.Stats = res.SolveStats
 	return pl
 }
 

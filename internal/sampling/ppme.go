@@ -183,10 +183,7 @@ func Solve(ctx context.Context, in *core.MultiInstance, cfg Config) (*Solution, 
 		return nil, fmt.Errorf("sampling: PPME solve ended with status %v", sol.Status)
 	}
 	out := extract(in, paths, cfg, costs, xs, rs, ds, sol.X, exact)
-	out.Stats = core.SolveStats{Nodes: sol.Nodes, Pivots: sol.Pivots,
-		Refactorizations: sol.Refactorizations, DevexResets: sol.DevexResets, WarmStarts: sol.WarmStarts,
-		CutsAdded: sol.CutsAdded, VarsFixed: sol.VarsFixed, PresolveRemoved: sol.PresolveRemoved,
-		StrongBranches: sol.StrongBranches, Bound: sol.Bound}
+	out.Stats = sol.SolveStats
 	return out, nil
 }
 

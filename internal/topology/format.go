@@ -37,12 +37,6 @@ func Write(w io.Writer, pop *POP) error {
 	return bw.Flush()
 }
 
-// Parse reads a POP in the format produced by Write.
-//
-// Deprecated: Parse is the historical name of Read; new code should
-// use Read, which pairs with Write.
-func Parse(r io.Reader) (*POP, error) { return Read(r) }
-
 // Read parses a POP in the format produced by Write. Malformed input
 // returns an error — never a panic: the parser is fuzzed (FuzzRead)
 // against malformed sections, out-of-order and non-dense node indices,

@@ -132,7 +132,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if err := Write(&sb, pop); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Parse(strings.NewReader(sb.String()))
+	back, err := Read(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestParseErrors(t *testing.T) {
 		"link not number":  "node 0 a backbone\nnode 1 b backbone\nlink 0 one 5",
 	}
 	for name, in := range cases {
-		if _, err := Parse(strings.NewReader(in)); err == nil {
+		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: want parse error", name)
 		}
 	}
@@ -173,7 +173,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestParseSkipsCommentsAndBlank(t *testing.T) {
 	in := "# header\n\nnode 0 a backbone\nnode 1 b access\n# mid\nlink 0 1 155\n"
-	pop, err := Parse(strings.NewReader(in))
+	pop, err := Read(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}

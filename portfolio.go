@@ -97,11 +97,7 @@ func (p *Portfolio) Solve(ctx context.Context, problem Problem, opts ...Option) 
 			errs = append(errs, oc.err)
 			continue
 		}
-		stats.Nodes += oc.res.Stats.Nodes
-		stats.Pivots += oc.res.Stats.Pivots
-		stats.Refactorizations += oc.res.Stats.Refactorizations
-		stats.DevexResets += oc.res.Stats.DevexResets
-		stats.WarmStarts += oc.res.Stats.WarmStarts
+		stats.Add(oc.res.Stats)
 		if betterResult(oc.res, best) {
 			best = oc.res
 		}
@@ -110,6 +106,7 @@ func (p *Portfolio) Solve(ctx context.Context, problem Problem, opts ...Option) 
 		return nil, fmt.Errorf("%s: all members failed: %w", p.name, errors.Join(errs...))
 	}
 	out := *best
+	stats.Bound = best.Stats.Bound
 	out.Stats = stats
 	return &out, nil
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/active"
-	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/passive"
 	"repro/internal/sampling"
@@ -91,8 +90,7 @@ func init() {
 		}
 		res := tapResult(pl)
 		res.Objective = pl.Covered
-		res.Bound = finiteBound(pl.Stats.Bound)
-		res.Gap = gapOf(res.Objective, pl.Stats.Bound, res.Optimal)
+		res.Gap = gapOf(res.Objective, res.Bound, res.Optimal)
 		return res, nil
 	}})
 
@@ -184,65 +182,32 @@ func ilpOptions(f passive.Formulation, o Options) ILPOptions {
 }
 
 func tapResult(pl TapPlacement) *Result {
-	res := &Result{
-		Taps:      &pl,
-		Objective: float64(pl.Devices()),
-		Bound:     finiteBound(pl.Stats.Bound),
-		Optimal:   pl.Exact,
-		Stats:     solveStats(pl.Stats),
-	}
-	res.Gap = gapOf(res.Objective, res.Bound, res.Optimal)
-	// Normalize the embedded counters to the same finite sentinel, so
-	// a Result is always JSON-marshalable (the service and the
-	// persistent cache serialize it; ±Inf has no JSON encoding).
-	pl.Stats.Bound = res.Bound
+	res := newResult(float64(pl.Devices()), pl.Exact, &pl.Stats)
+	res.Taps = &pl
 	return res
 }
 
 func beaconResult(pl BeaconPlacement) *Result {
-	res := &Result{
-		Beacons:   &pl,
-		Objective: float64(pl.Devices()),
-		Bound:     finiteBound(pl.Stats.Bound),
-		Optimal:   pl.Exact,
-		Stats:     solveStats(pl.Stats),
-	}
-	res.Gap = gapOf(res.Objective, res.Bound, res.Optimal)
-	pl.Stats.Bound = res.Bound
+	res := newResult(float64(pl.Devices()), pl.Exact, &pl.Stats)
+	res.Beacons = &pl
 	return res
 }
 
 func samplingResult(sol *SamplingSolution) *Result {
-	res := &Result{
-		Sampling:  sol,
-		Objective: sol.Cost,
-		Bound:     finiteBound(sol.Stats.Bound),
-		Optimal:   sol.Exact,
-		Stats:     solveStats(sol.Stats),
-	}
-	res.Gap = gapOf(res.Objective, res.Bound, res.Optimal)
-	sol.Stats.Bound = res.Bound
+	res := newResult(sol.Cost, sol.Exact, &sol.Stats)
+	res.Sampling = sol
 	return res
 }
 
-// solveStats copies an internal effort-counter block into the public
-// Stats (Wall is stamped by SolverFunc.Solve).
-func solveStats(st core.SolveStats) Stats {
-	return Stats{
-		Nodes:            st.Nodes,
-		Pivots:           st.Pivots,
-		Refactorizations: st.Refactorizations,
-		DevexResets:      st.DevexResets,
-		WarmStarts:       st.WarmStarts,
-		CutsAdded:        st.CutsAdded,
-		VarsFixed:        st.VarsFixed,
-		PresolveRemoved:  st.PresolveRemoved,
-		StrongBranches:   st.StrongBranches,
-		SubtreeTasks:     st.SubtreeTasks,
-		Steals:           st.Steals,
-		DominancePrunes:  st.DominancePrunes,
-		Degraded:         st.Degraded,
-	}
+// newResult builds the Result of a placement with effort counters st.
+// It first normalizes st's bound to the finite sentinel, so the Result
+// and the placement it carries are always JSON-marshalable (the service
+// and the persistent cache serialize them; ±Inf has no JSON encoding).
+func newResult(objective float64, optimal bool, st *Stats) *Result {
+	st.Bound = finiteBound(st.Bound)
+	res := &Result{Objective: objective, Bound: st.Bound, Optimal: optimal, Stats: *st}
+	res.Gap = gapOf(res.Objective, res.Bound, res.Optimal)
+	return res
 }
 
 // gapOf returns |objective − bound| for early-stopped exact solves and

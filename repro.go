@@ -17,16 +17,13 @@
 // exposes every algorithm through the context-aware Solver/Result core
 // (see solver.go): solvers are looked up by name in a registry, solves
 // are bounded by context deadlines and report statistics, and a
-// Portfolio races several solvers concurrently. The historical
-// method-enum helpers (PlaceTaps, PlaceBeacons) remain as thin wrappers
-// over the registry. The examples/ directory shows complete programs;
-// DESIGN.md maps every paper section and figure to the implementing
-// module.
+// Portfolio races several solvers concurrently. The examples/ directory
+// shows complete programs; DESIGN.md maps every paper section and figure
+// to the implementing module.
 package repro
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/active"
 	"repro/internal/core"
@@ -123,59 +120,6 @@ func RouteMulti(pop *POP, demands []Demand, maxRoutes int) (*MultiInstance, erro
 	return traffic.RouteMulti(pop, demands, maxRoutes)
 }
 
-// TapMethod selects a PPM(k) algorithm.
-//
-// Deprecated: the int enum survives for source compatibility only; new
-// code should address solvers by registry name (Solvers lists them) via
-// Solve or LookupSolver.
-type TapMethod int
-
-const (
-	// TapGreedyLoad is the §4.3 baseline greedy (most loaded link
-	// first) — the "Greedy algorithm" curve of Figures 7 and 8.
-	TapGreedyLoad TapMethod = iota
-	// TapGreedyGain is the marginal-gain set-cover greedy.
-	TapGreedyGain
-	// TapFlow is the Minimum Edge Cost Flow linear-relaxation heuristic.
-	TapFlow
-	// TapILP is the exact MIP (Linear program 2) — the "ILP" curve.
-	TapILP
-	// TapExact is the exact combinatorial branch-and-bound via the
-	// Theorem 1 set-cover view; same optima as TapILP, faster on large
-	// instances.
-	TapExact
-)
-
-func (m TapMethod) String() string {
-	switch m {
-	case TapGreedyLoad:
-		return "greedy-load"
-	case TapGreedyGain:
-		return "greedy-gain"
-	case TapFlow:
-		return "flow-heuristic"
-	case TapILP:
-		return "ilp"
-	case TapExact:
-		return "exact"
-	}
-	return fmt.Sprintf("TapMethod(%d)", int(m))
-}
-
-// PlaceTaps solves PPM(k): select links for tap devices so traffics
-// carrying at least fraction k of the volume cross a tapped link.
-// It delegates to the registered "tap/<method>" solver.
-//
-// Deprecated: use Solve with a registry name, which also exposes
-// deadlines, budgets and solver statistics.
-func PlaceTaps(ctx context.Context, in *Instance, k float64, method TapMethod) (TapPlacement, error) {
-	res, err := Solve(ctx, "tap/"+method.String(), in, WithCoverage(k))
-	if err != nil {
-		return TapPlacement{}, err
-	}
-	return *res.Taps, nil
-}
-
 // PlaceTapsILP exposes the full MIP options: formulation choice,
 // incremental placement over installed devices, and device budgets
 // (§4.3).
@@ -223,47 +167,6 @@ func NewGeometricSampler(n int, seed int64) Sampler { return sampling.NewGeometr
 // candidate beacons V_B (first phase of [15], §6.1).
 func ComputeProbes(g *Graph, candidates []NodeID) (ProbeSet, error) {
 	return active.ComputeProbes(g, candidates)
-}
-
-// BeaconMethod selects a beacon-placement algorithm (§6).
-//
-// Deprecated: the int enum survives for source compatibility only; new
-// code should address solvers by registry name ("beacon/thiran",
-// "beacon/greedy", "beacon/ilp") via Solve or LookupSolver.
-type BeaconMethod int
-
-const (
-	// BeaconThiran is the arbitrary-order heuristic of [15].
-	BeaconThiran BeaconMethod = iota
-	// BeaconGreedy is the paper's improved most-probes-first greedy.
-	BeaconGreedy
-	// BeaconILP is the exact 0–1 integer program of §6.1.
-	BeaconILP
-)
-
-func (m BeaconMethod) String() string {
-	switch m {
-	case BeaconThiran:
-		return "thiran"
-	case BeaconGreedy:
-		return "greedy"
-	case BeaconILP:
-		return "ilp"
-	}
-	return fmt.Sprintf("BeaconMethod(%d)", int(m))
-}
-
-// PlaceBeacons chooses beacons so every probe of the set has a beacon
-// extremity. It delegates to the registered "beacon/<method>" solver.
-//
-// Deprecated: use Solve with a registry name, which also exposes
-// deadlines and solver statistics.
-func PlaceBeacons(ctx context.Context, ps ProbeSet, method BeaconMethod) (BeaconPlacement, error) {
-	res, err := Solve(ctx, "beacon/"+method.String(), ps)
-	if err != nil {
-		return BeaconPlacement{}, err
-	}
-	return *res.Beacons, nil
 }
 
 // Replay validates a deployment at packet level: synthetic packets flow

@@ -20,19 +20,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	var optimal int
-	for _, m := range []TapMethod{TapGreedyLoad, TapGreedyGain, TapFlow, TapILP, TapExact} {
-		pl, err := PlaceTaps(context.Background(), in, 0.9, m)
+	for _, name := range []string{SolverTapGreedyLoad, SolverTapGreedyGain, SolverTapFlow, SolverTapILP, SolverTapExact} {
+		res, err := Solve(context.Background(), name, in, WithCoverage(0.9))
 		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if pl.Fraction < 0.9-1e-9 {
-			t.Fatalf("%v: coverage %g < 0.9", m, pl.Fraction)
+		if res.Taps.Fraction < 0.9-1e-9 {
+			t.Fatalf("%s: coverage %g < 0.9", name, res.Taps.Fraction)
 		}
-		if m == TapILP {
-			optimal = pl.Devices()
+		if name == SolverTapILP {
+			optimal = res.Devices()
 		}
-		if m == TapExact && pl.Devices() != optimal {
-			t.Fatalf("exact %d != ilp %d", pl.Devices(), optimal)
+		if name == SolverTapExact && res.Devices() != optimal {
+			t.Fatalf("exact %d != ilp %d", res.Devices(), optimal)
 		}
 	}
 
@@ -79,49 +79,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ilpN int
-	for _, m := range []BeaconMethod{BeaconThiran, BeaconGreedy, BeaconILP} {
-		pl, err := PlaceBeacons(context.Background(), ps, m)
+	devices := make(map[string]int)
+	for _, name := range []string{SolverBeaconThiran, SolverBeaconGreedy, SolverBeaconILP} {
+		res, err := Solve(context.Background(), name, ps)
 		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if err := pl.Validate(ps); err != nil {
-			t.Fatalf("%v: %v", m, err)
+		if err := res.Beacons.Validate(ps); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if m == BeaconILP {
-			ilpN = pl.Devices()
-		}
+		devices[name] = res.Devices()
 	}
-	gr, _ := PlaceBeacons(context.Background(), ps, BeaconGreedy)
-	if ilpN > gr.Devices() {
-		t.Fatalf("ilp %d worse than greedy %d", ilpN, gr.Devices())
-	}
-}
-
-func TestMethodStrings(t *testing.T) {
-	if TapGreedyLoad.String() == "" || TapILP.String() != "ilp" || TapMethod(42).String() == "" {
-		t.Fatal("tap method strings")
-	}
-	if BeaconThiran.String() != "thiran" || BeaconMethod(42).String() == "" {
-		t.Fatal("beacon method strings")
-	}
-}
-
-func TestUnknownMethodsError(t *testing.T) {
-	pop := GeneratePOP(POPConfig{Routers: 4, InterRouterLinks: 5, Endpoints: 3, Seed: 1})
-	in, err := RouteSingle(pop, GenerateDemands(pop, TrafficConfig{Seed: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PlaceTaps(context.Background(), in, 0.9, TapMethod(99)); err == nil {
-		t.Fatal("unknown tap method accepted")
-	}
-	ps, err := ComputeProbes(pop.G, []NodeID{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PlaceBeacons(context.Background(), ps, BeaconMethod(99)); err == nil {
-		t.Fatal("unknown beacon method accepted")
+	if devices[SolverBeaconILP] > devices[SolverBeaconGreedy] {
+		t.Fatalf("ilp %d worse than greedy %d", devices[SolverBeaconILP], devices[SolverBeaconGreedy])
 	}
 }
 
@@ -131,11 +101,11 @@ func TestIncrementalAndBudgetThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := PlaceTaps(context.Background(), in, 0.9, TapILP)
+	base, err := Solve(context.Background(), SolverTapILP, in, WithCoverage(0.9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := PlaceTapsILP(context.Background(), in, 0.9, ILPOptions{Installed: base.Edges[:1]})
+	inc, err := PlaceTapsILP(context.Background(), in, 0.9, ILPOptions{Installed: base.Taps.Edges[:1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +197,11 @@ func TestNewFacadeFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := PlaceBeacons(context.Background(), ps, BeaconGreedy)
+	res, err := Solve(context.Background(), SolverBeaconGreedy, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BalanceBeaconLoad(ps, pl); err != nil {
+	if _, err := BalanceBeaconLoad(ps, *res.Beacons); err != nil {
 		t.Fatal(err)
 	}
 }

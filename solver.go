@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cover"
 )
 
@@ -28,52 +29,9 @@ type Solver interface {
 	Solve(ctx context.Context, problem Problem, opts ...Option) (*Result, error)
 }
 
-// Stats reports how hard a solve was.
-type Stats struct {
-	// Wall is the wall-clock duration of the solve.
-	Wall time.Duration
-	// Nodes is the number of branch-and-bound nodes explored (0 for
-	// pure heuristics).
-	Nodes int
-	// Pivots is the total simplex iterations across all LP relaxations.
-	Pivots int
-	// Refactorizations is the total basis LU refactorizations of the
-	// sparse revised simplex across all LP relaxations.
-	Refactorizations int
-	// DevexResets is the total Devex pricing reference-framework
-	// resets across all LP relaxations.
-	DevexResets int
-	// WarmStarts is the number of branch-and-bound nodes whose LP
-	// relaxation was warm-started from the parent node's basis.
-	WarmStarts int
-	// CutsAdded is the number of root cutting planes (lifted cover and
-	// clique cuts) added to the MIP relaxation.
-	CutsAdded int
-	// VarsFixed is the number of variables permanently fixed by
-	// reduced-cost fixing.
-	VarsFixed int
-	// PresolveRemoved is the number of columns and rows the MIP
-	// presolve removed before the root solve.
-	PresolveRemoved int
-	// StrongBranches is the number of strong-branching probe LPs solved
-	// to initialize pseudo-cost branching.
-	StrongBranches int
-	// SubtreeTasks is the number of independent subtree tasks the
-	// parallel branch-and-bound dispatched over its worker pool (0 for
-	// searches that closed in the serial phases).
-	SubtreeTasks int
-	// Steals is the number of subtree tasks executed by a worker other
-	// than their round-robin home — the load-balancing traffic of the
-	// shared task queue. Always 0 for serial solves.
-	Steals int
-	// DominancePrunes is the number of set exclusions applied by the
-	// dominance and symmetry reductions of the combinatorial search.
-	DominancePrunes int
-	// Degraded counts solves answered by a fallback solver after the
-	// primary errored (1 for a single degraded Solve; summed across a
-	// batch). See WithFallback.
-	Degraded int
-}
+// Stats reports how hard a solve was: the effort counters, the proven
+// bound and the wall time (see core.SolveStats for each field).
+type Stats = core.SolveStats
 
 // Result is the unified outcome of a Solve: the placement for the
 // problem family that was solved, plus solver statistics. Exactly one

@@ -208,6 +208,30 @@ func TestPortfolioErrors(t *testing.T) {
 	}
 }
 
+// TestPortfolioReportsMemberCounters holds tap/portfolio's effort
+// counters to its members': the heuristic members add no nodes, fixings,
+// presolve reductions or strong branches, so the portfolio must report
+// exactly those of its tap/ilp member solved alone.
+func TestPortfolioReportsMemberCounters(t *testing.T) {
+	in := testInstance(t, 2)
+	ilp, err := Solve(context.Background(), SolverTapILP, in, WithCoverage(0.9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ilp.Stats.PresolveRemoved == 0 || ilp.Stats.StrongBranches == 0 {
+		t.Fatalf("instance no longer exercises presolve and strong branching: %+v", ilp.Stats)
+	}
+	pf, err := Solve(context.Background(), SolverTapPortfolio, in, WithCoverage(0.9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [4]int{pf.Stats.Nodes, pf.Stats.VarsFixed, pf.Stats.PresolveRemoved, pf.Stats.StrongBranches}
+	want := [4]int{ilp.Stats.Nodes, ilp.Stats.VarsFixed, ilp.Stats.PresolveRemoved, ilp.Stats.StrongBranches}
+	if got != want {
+		t.Fatalf("portfolio nodes/fixed/presolved/strong = %v, tap/ilp alone %v", got, want)
+	}
+}
+
 func TestRegisteredPortfolioUnderDeadline(t *testing.T) {
 	in := testInstance(t, 11)
 	res, err := Solve(context.Background(), "tap/portfolio", in,
@@ -220,23 +244,5 @@ func TestRegisteredPortfolioUnderDeadline(t *testing.T) {
 	}
 	if res.Solver == "" {
 		t.Fatal("portfolio did not report the winning member")
-	}
-}
-
-// TestLegacyWrappersDelegate pins the migration contract: the enum
-// wrappers produce the same placements as the registry solvers they
-// delegate to.
-func TestLegacyWrappersDelegate(t *testing.T) {
-	in := testInstance(t, 13)
-	pl, err := PlaceTaps(context.Background(), in, 0.9, TapILP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Solve(context.Background(), "tap/ilp", in, WithCoverage(0.9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Devices() != res.Devices() {
-		t.Fatalf("wrapper %d devices, registry %d", pl.Devices(), res.Devices())
 	}
 }
