@@ -130,9 +130,9 @@ func (r *Runner) SolveBatch(ctx context.Context, solver string, problems []Probl
 	// The cache must never serve a clock-dependent result: bypass it
 	// when the solve is bounded by the batch options OR by a deadline
 	// already on the caller's context. Session warm solves get the same
-	// treatment — a result produced with injected warm artifacts must
-	// never be memoized under (or served from) a cold solve's key (see
-	// engine.SessionScope).
+	// treatment — a result produced with injected warm artifacts carries
+	// different effort counters, so it must never be memoized under (or
+	// served from) a cold solve's key.
 	_, ctxDeadline := ctx.Deadline()
 	timeBounded := !o.Deadline.IsZero() || o.Timeout > 0 || ctxDeadline || o.sessionWarm()
 	return engine.Map(ctx, r.eng, len(problems), func(ctx context.Context, i int) (*Result, error) {

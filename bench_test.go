@@ -28,6 +28,12 @@ import (
 // benchmarks (the paper uses 20; cmd/repro defaults to 20).
 const benchSeeds = 3
 
+// figureRunner is a GOMAXPROCS-worker engine with a fresh cache, so
+// benchmark iterations never share memoized solves.
+func figureRunner() *engine.Runner {
+	return engine.New(engine.Options{Cache: engine.NewCache()})
+}
+
 func BenchmarkFig6TrafficWeights(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := experiments.Fig6(int64(i), io.Discard, io.Discard); err != nil {
@@ -38,14 +44,14 @@ func BenchmarkFig6TrafficWeights(b *testing.B) {
 
 func BenchmarkFig7Passive10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.Fig7(context.Background(), benchSeeds)
+		s := experiments.Fig7(context.Background(), figureRunner(), benchSeeds)
 		sanityPassive(b, s)
 	}
 }
 
 func BenchmarkFig8Passive15(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.Fig8(context.Background(), 1) // the heavy instance: one seed per iteration
+		s := experiments.Fig8(context.Background(), figureRunner(), 1) // the heavy instance: one seed per iteration
 		sanityPassive(b, s)
 	}
 }
@@ -70,19 +76,19 @@ func sanityPassive(b *testing.B, s interface {
 
 func BenchmarkFig9Beacons15(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sanityBeacons(b, experiments.Fig9(context.Background(), benchSeeds), 15)
+		sanityBeacons(b, experiments.Fig9(context.Background(), figureRunner(), benchSeeds), 15)
 	}
 }
 
 func BenchmarkFig10Beacons29(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sanityBeacons(b, experiments.Fig10(context.Background(), benchSeeds), 29)
+		sanityBeacons(b, experiments.Fig10(context.Background(), figureRunner(), benchSeeds), 29)
 	}
 }
 
 func BenchmarkFig11Beacons80(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sanityBeacons(b, experiments.Fig11(context.Background(), 1), 80)
+		sanityBeacons(b, experiments.Fig11(context.Background(), figureRunner(), 1), 80)
 	}
 }
 
@@ -101,18 +107,20 @@ func sanityBeacons(b *testing.B, s interface {
 
 func BenchmarkPPMECost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = experiments.PPMECost(context.Background(), 1)
+		_ = experiments.PPMECost(context.Background(), figureRunner(), 1)
 	}
 }
 
 func BenchmarkPPMEStarDynamic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Dynamic(context.Background(), int64(i), 10, 0.4)
+		results, err := experiments.Dynamic(context.Background(), figureRunner(), benchSeeds, 10, 0.4)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.FinalCoverage <= 0 {
-			b.Fatal("dynamic run collapsed")
+		for _, res := range results {
+			if res.FinalCoverage <= 0 {
+				b.Fatalf("seed %d: dynamic run collapsed", res.Seed)
+			}
 		}
 	}
 }
@@ -419,23 +427,23 @@ func BenchmarkAblationFlowHeuristic(b *testing.B) {
 func BenchmarkAblationEngine(b *testing.B) {
 	b.Run("Serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sanityBeacons(b, experiments.Fig9On(context.Background(), engine.Serial(), benchSeeds), 15)
+			sanityBeacons(b, experiments.Fig9(context.Background(), engine.Serial(), benchSeeds), 15)
 		}
 	})
 	b.Run("Parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// Fresh per-iteration cache, like Serial: the variants differ
 			// only in worker count.
-			eng := engine.New(engine.Options{Cache: engine.NewCache()})
-			sanityBeacons(b, experiments.Fig9On(context.Background(), eng, benchSeeds), 15)
+			eng := figureRunner()
+			sanityBeacons(b, experiments.Fig9(context.Background(), eng, benchSeeds), 15)
 		}
 	})
 	b.Run("ParallelWarmCache", func(b *testing.B) {
-		eng := engine.New(engine.Options{Cache: engine.NewCache()})
-		sanityBeacons(b, experiments.Fig9On(context.Background(), eng, benchSeeds), 15) // warm-up, not timed
+		eng := figureRunner()
+		sanityBeacons(b, experiments.Fig9(context.Background(), eng, benchSeeds), 15) // warm-up, not timed
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sanityBeacons(b, experiments.Fig9On(context.Background(), eng, benchSeeds), 15)
+			sanityBeacons(b, experiments.Fig9(context.Background(), eng, benchSeeds), 15)
 		}
 	})
 }
@@ -472,12 +480,14 @@ func BenchmarkAblationSamplers(b *testing.B) {
 // PPME solution (promised vs achieved coverage).
 func BenchmarkReplayValidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		prom, ach, err := experiments.ReplayCheck(context.Background(), int64(i), 0.9)
+		outs, err := experiments.Replay(context.Background(), figureRunner(), benchSeeds, 0.9)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if ach < prom-0.05 {
-			b.Fatalf("replay %g far below promise %g", ach, prom)
+		for _, o := range outs {
+			if o.Achieved < o.Promised-0.05 {
+				b.Fatalf("seed %d: replay %g far below promise %g", o.Seed, o.Achieved, o.Promised)
+			}
 		}
 	}
 }
@@ -514,7 +524,7 @@ func BenchmarkMIPSolver(b *testing.B) {
 // pipeline on a 150-router POP.
 func BenchmarkLargePOP150(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sanityBeacons(b, experiments.Large150(context.Background(), 1), 150)
+		sanityBeacons(b, experiments.Large150(context.Background(), figureRunner(), 1), 150)
 	}
 }
 
@@ -565,8 +575,8 @@ func BenchmarkAblationRounding(b *testing.B) {
 // churnResolveChain replays the session benchmark's churn family
 // workload: a 20-endpoint churn scenario whose demand matrix is
 // re-weighted each step (volumes drawn from [0.8, 1.25], rows kept) —
-// the DeltaRescale mutation class under which a Session ships both the
-// previous incumbent and the saved root LP basis.
+// the DeltaRescale mutation class under which a Session ships the
+// saved root LP basis.
 func churnResolveChain(tb testing.TB, steps int) []*Instance {
 	tb.Helper()
 	s, err := GenerateScenario("churn", 20, 4)
@@ -597,17 +607,17 @@ func churnResolveChain(tb testing.TB, steps int) []*Instance {
 	return chain
 }
 
-// BenchmarkChurnResolve is the session re-optimization claim (ROADMAP
-// item 2, DESIGN.md §10): re-solving a churn-mutated instance warm
-// must be ≥10× faster than cold on the churn family, with identical
-// answers. Three variants solve steps 1..6 of the replay chain (step 0
-// is cold for everyone and excluded):
+// BenchmarkChurnResolve is the session re-optimization claim (DESIGN.md
+// §10): re-solving a churn-mutated instance warm must be ≥10× faster
+// than cold on the churn family, with identical answers. Two variants
+// solve steps 1..6 of the replay chain (step 0 is cold for both and
+// excluded):
 //
-//	cold       no artifacts — the pre-session baseline
-//	warm_hint  previous optimum as an incumbent hint only
-//	warm_full  hint + saved root LP basis; the warm dual-simplex re-solve
-//	           re-derives the reduced-cost set bans, the cover solver's
-//	           cutting-plane analog, so this is the "with cuts" ablation
+//	cold        no artifacts — the pre-session baseline
+//	warm_basis  the previous step's saved root LP basis seeds the
+//	            phase-2 root LP; the warm dual-simplex re-solve
+//	            re-derives the reduced-cost set bans, the cover solver's
+//	            cutting-plane analog
 //
 // nodes/op, pivots/op and warmstarts/op expose where the speedup comes
 // from: the warm basis collapses the root LP re-solve (pivots), which
@@ -617,12 +627,8 @@ func BenchmarkChurnResolve(b *testing.B) {
 	const k, steps = 0.95, 6
 	chain := churnResolveChain(b, steps)
 	// Per-step cold reference solves, outside the timer: answers to
-	// check against and the artifacts the warm variants consume.
-	type artifacts struct {
-		hint  []int
-		basis *lp.Basis
-	}
-	arts := make([]artifacts, len(chain))
+	// check against and the bases the warm variant consumes.
+	bases := make([]*lp.Basis, len(chain))
 	ref := make([]passive.Placement, len(chain))
 	for i, in := range chain {
 		capt := &cover.Capture{}
@@ -631,11 +637,7 @@ func BenchmarkChurnResolve(b *testing.B) {
 			b.Fatalf("reference solve %d did not close", i)
 		}
 		ref[i] = pl
-		hint := make([]int, len(pl.Edges))
-		for j, e := range pl.Edges {
-			hint[j] = int(e)
-		}
-		arts[i] = artifacts{hint: hint, basis: capt.Basis}
+		bases[i] = capt.Basis
 	}
 	run := func(b *testing.B, warmOf func(step int) *cover.Warm) {
 		var nodes, pivots, warm int
@@ -659,12 +661,7 @@ func BenchmarkChurnResolve(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		run(b, func(int) *cover.Warm { return nil })
 	})
-	b.Run("warm_hint", func(b *testing.B) {
-		run(b, func(step int) *cover.Warm { return &cover.Warm{Hint: arts[step-1].hint} })
-	})
-	b.Run("warm_full", func(b *testing.B) {
-		run(b, func(step int) *cover.Warm {
-			return &cover.Warm{Hint: arts[step-1].hint, Basis: arts[step-1].basis}
-		})
+	b.Run("warm_basis", func(b *testing.B) {
+		run(b, func(step int) *cover.Warm { return &cover.Warm{Basis: bases[step-1]} })
 	})
 }

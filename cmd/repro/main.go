@@ -15,7 +15,9 @@
 //
 // Per-figure progress/timing lines (wall clock, engine cells, cache
 // hits/misses, aggregated solver effort) go to stderr; series go to
-// stdout.
+// stdout. One figure table drives both modes: -bench-json times each
+// entry exactly as -figure renders it (output discarded), then appends
+// the churn_resolve session entry.
 package main
 
 import (
@@ -58,6 +60,9 @@ func run(args []string, out, progress io.Writer) error {
 		buildinfo.Fprint(out, "repro")
 		return nil
 	}
+	if *seeds < 1 {
+		return fmt.Errorf("-seeds must be at least 1, got %d", *seeds)
+	}
 	if *parallel <= 0 {
 		// Resolve the engine's "<= 0 means GOMAXPROCS" default up front
 		// so progress lines and the bench report record the worker count
@@ -78,84 +83,77 @@ func run(args []string, out, progress io.Writer) error {
 		return err
 	}
 
-	wants := func(name string) bool { return *figure == "all" || *figure == name }
-	printed := false
-	emit := func(s *stats.Series) error {
-		if printed {
+	var dot io.Writer
+	if *dotFile != "" && (*figure == "all" || *figure == "fig6") {
+		//placevet:ignore atomicwrite -- user-named figure artifact, not a cache entry; a torn write is visible, not silently served
+		f, err := os.Create(*dotFile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		dot = f
+	}
+	matched := false
+	for _, f := range figures(dot, progress) {
+		if *figure != "all" && *figure != f.name {
+			continue
+		}
+		if matched {
 			fmt.Fprintln(out)
 		}
-		printed = true
-		return s.Write(out)
-	}
-	// timed runs one figure on a fresh engine (so cache and effort
-	// counters are per figure) and reports a progress line on stderr.
-	timed := func(name string, fn func(eng *engine.Runner) error) error {
-		eng := engine.New(engine.Options{Workers: *parallel, Cache: engine.NewCache()})
-		start := time.Now()
-		if err := fn(eng); err != nil {
+		matched = true
+		eng, wall, err := runFigure(ctx, f, *seeds, *parallel, out)
+		if err != nil {
 			return err
 		}
 		hits, misses := eng.Cache().Counts()
 		st := eng.Stats()
 		fmt.Fprintf(progress, "repro: %-8s %8.2fs  workers=%d cells=%d cache=%d/%d hit/miss (%.1f%%)  nodes=%d pivots=%d cuts=%d fixed=%d subtrees=%d steals=%d domprunes=%d\n",
-			name, time.Since(start).Seconds(), eng.Workers(), eng.Tasks(), hits, misses, 100*hitRate(hits, misses), st.Nodes, st.Pivots, st.CutsAdded, st.VarsFixed, st.SubtreeTasks, st.Steals, st.DominancePrunes)
-		return nil
+			f.name, wall.Seconds(), eng.Workers(), eng.Tasks(), hits, misses, 100*hitRate(hits, misses), st.Nodes, st.Pivots, st.CutsAdded, st.VarsFixed, st.SubtreeTasks, st.Steals, st.DominancePrunes)
 	}
+	if !matched {
+		return fmt.Errorf("unknown figure %q", *figure)
+	}
+	return nil
+}
 
-	if wants("fig6") {
-		var dot io.Writer
-		if *dotFile != "" {
-			//placevet:ignore atomicwrite -- user-named figure artifact, not a cache entry; a torn write is visible, not silently served
-			f, err := os.Create(*dotFile)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			dot = f
-		}
-		if printed {
-			fmt.Fprintln(out)
-		}
-		printed = true
-		if err := experiments.Fig6(1, out, dot); err != nil {
-			return err
+// figureEntry is one entry of the figure table. render writes the
+// figure's deterministic text to out; -figure prints it and -bench-json
+// renders it into io.Discard, so the report times exactly what -figure
+// prints.
+type figureEntry struct {
+	name   string
+	render func(ctx context.Context, eng *engine.Runner, seeds int, out io.Writer) error
+}
+
+// figures lists every figure in print order. dot receives fig6's
+// Graphviz rendering (nil = none); progress receives the stderr-only
+// timing notes that must stay off the deterministic stdout.
+func figures(dot, progress io.Writer) []figureEntry {
+	series := func(fn func(context.Context, *engine.Runner, int) *stats.Series) func(context.Context, *engine.Runner, int, io.Writer) error {
+		return func(ctx context.Context, eng *engine.Runner, seeds int, out io.Writer) error {
+			return fn(ctx, eng, seeds).Write(out)
 		}
 	}
-	type figFn struct {
-		name string
-		fn   func(context.Context, *engine.Runner, int) *stats.Series
-	}
-	for _, f := range []figFn{
-		{"fig7", experiments.Fig7On},
-		{"fig8", experiments.Fig8On},
-		{"fig9", experiments.Fig9On},
-		{"fig10", experiments.Fig10On},
-		{"fig11", experiments.Fig11On},
-		{"ppme", experiments.PPMECostOn},
-		{"samplers", func(ctx context.Context, eng *engine.Runner, _ int) *stats.Series {
-			return experiments.SamplerBiasOn(ctx, eng, 1)
+	return []figureEntry{
+		{"fig6", func(_ context.Context, _ *engine.Runner, _ int, out io.Writer) error {
+			return experiments.Fig6(1, out, dot)
 		}},
-		{"large150", experiments.Large150On},
-	} {
-		if !wants(f.name) {
-			continue
-		}
-		if err := timed(f.name, func(eng *engine.Runner) error {
-			return emit(f.fn(ctx, eng, *seeds))
-		}); err != nil {
-			return err
-		}
-	}
-	if wants("dynamic") {
-		err := timed("dynamic", func(eng *engine.Runner) error {
-			results, err := experiments.DynamicBatch(ctx, eng, min(*seeds, 5), 10, 0.45)
+		{"fig7", series(experiments.Fig7)},
+		{"fig8", series(experiments.Fig8)},
+		{"fig9", series(experiments.Fig9)},
+		{"fig10", series(experiments.Fig10)},
+		{"fig11", series(experiments.Fig11)},
+		{"ppme", series(experiments.PPMECost)},
+		{"samplers", func(ctx context.Context, eng *engine.Runner, _ int, out io.Writer) error {
+			return experiments.SamplerBias(ctx, eng, 1).Write(out)
+		}},
+		{"large150", series(experiments.Large150)},
+		{"dynamic", func(ctx context.Context, eng *engine.Runner, seeds int, out io.Writer) error {
+			results, err := experiments.Dynamic(ctx, eng, min(seeds, 5), 10, 0.45)
 			if err != nil {
 				return err
 			}
-			if printed {
-				fmt.Fprintln(out)
-			}
-			printed = true
 			// Wall-clock columns belong on stderr with the rest of the
 			// timing: stdout carries only deterministic bytes, so
 			// -parallel 1 and -parallel 8 (and any two repeat runs)
@@ -164,49 +162,37 @@ func run(args []string, out, progress io.Writer) error {
 			fmt.Fprintf(out, "%-6s %-8s %-12s %-12s %-12s\n",
 				"seed", "rounds", "recomputes", "min cover", "final cover")
 			var reopt time.Duration
-			for seed, res := range results {
+			for _, res := range results {
 				fmt.Fprintf(out, "%-6d %-8d %-12d %11.2f%% %11.2f%%\n",
-					seed, res.Rounds, res.Recomputes, res.MinCoverage*100, res.FinalCoverage*100)
+					res.Seed, res.Rounds, res.Recomputes, res.MinCoverage*100, res.FinalCoverage*100)
 				reopt += res.ReoptTime
 			}
 			fmt.Fprintf(progress, "repro: dynamic reopt time %v across %d seeds\n", reopt, len(results))
 			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if wants("replay") {
-		err := timed("replay", func(eng *engine.Runner) error {
-			outs, err := experiments.ReplayBatch(ctx, eng, min(*seeds, 5), 0.9)
+		}},
+		{"replay", func(ctx context.Context, eng *engine.Runner, seeds int, out io.Writer) error {
+			const k = 0.9
+			outs, err := experiments.Replay(ctx, eng, min(seeds, 5), k)
 			if err != nil {
 				return err
-			}
-			if printed {
-				fmt.Fprintln(out)
 			}
 			fmt.Fprintln(out, "# validation: packet replay of PPME solutions (promised vs achieved coverage)")
 			fmt.Fprintf(out, "%-6s %-6s %-12s %-12s\n", "seed", "k", "promised", "achieved")
 			for _, o := range outs {
-				fmt.Fprintf(out, "%-6d %-6.2f %11.2f%% %11.2f%%\n", o.Seed, 0.9, o.Promised*100, o.Achieved*100)
+				fmt.Fprintf(out, "%-6d %-6.2f %11.2f%% %11.2f%%\n", o.Seed, k, o.Promised*100, o.Achieved*100)
 			}
 			return nil
-		})
-		if err != nil {
-			return err
-		}
+		}},
 	}
-	if !printed && !wants("dynamic") && !wants("replay") {
-		return fmt.Errorf("unknown figure %q", *figure)
-	}
-	return nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// runFigure renders f on a fresh engine, so cache and effort counters
+// are per figure, and returns the engine and the wall time.
+func runFigure(ctx context.Context, f figureEntry, seeds, parallel int, out io.Writer) (*engine.Runner, time.Duration, error) {
+	eng := engine.New(engine.Options{Workers: parallel, Cache: engine.NewCache()})
+	start := time.Now()
+	err := f.render(ctx, eng, seeds, out)
+	return eng, time.Since(start), err
 }
 
 // benchReport is the schema of the -bench-json output: one wall-clock
@@ -226,7 +212,7 @@ type benchEntry struct {
 	// Solver effort aggregated over the figure's engine: branch-and-
 	// bound nodes, simplex pivots, and cutting planes added. They track
 	// the tree-size trajectory across PRs alongside the wall clock
-	// (dynamic and replay run off-engine and report zeros).
+	// (dynamic and replay do not report solver effort: zeros).
 	Nodes  int `json:"nodes"`
 	Pivots int `json:"pivots"`
 	Cuts   int `json:"cuts"`
@@ -261,42 +247,13 @@ func hitRate(hits, misses int64) float64 {
 }
 
 // writeBenchJSON times the selected figures (-figure, default all)
-// once at the requested averaging depth on the parallel engine and
-// writes the report. Each figure runs on a fresh engine (workers from
-// -parallel, per-figure cache), sequentially in a fixed order; a
-// canceled ctx degrades exact solves to incumbents exactly as in
-// normal runs, which would show up as an (honest) speedup, so pair
-// -bench-json with an unbounded run.
+// once at the requested averaging depth and writes the report. It
+// walks the same figure table as the print path, each figure on a
+// fresh engine (workers from -parallel, per-figure cache),
+// sequentially in table order; a canceled ctx degrades exact solves to
+// incumbents exactly as in normal runs, which would show up as an
+// (honest) speedup, so pair -bench-json with an unbounded run.
 func writeBenchJSON(ctx context.Context, path, figure string, seeds, parallel int, log io.Writer) error {
-	type figFn struct {
-		name string
-		fn   func(eng *engine.Runner) error
-	}
-	series := func(fn func(context.Context, *engine.Runner, int) *stats.Series) func(*engine.Runner) error {
-		return func(eng *engine.Runner) error { fn(ctx, eng, seeds); return nil }
-	}
-	figs := []figFn{
-		{"fig6", func(*engine.Runner) error { return experiments.Fig6(1, io.Discard, nil) }},
-		{"fig7", series(experiments.Fig7On)},
-		{"fig8", series(experiments.Fig8On)},
-		{"fig9", series(experiments.Fig9On)},
-		{"fig10", series(experiments.Fig10On)},
-		{"fig11", series(experiments.Fig11On)},
-		{"ppme", series(experiments.PPMECostOn)},
-		{"samplers", func(eng *engine.Runner) error { experiments.SamplerBiasOn(ctx, eng, 1); return nil }},
-		{"large150", series(experiments.Large150On)},
-		// dynamic and replay keep the historical single-seed workload
-		// (seed 1, no engine fan-out) so BENCH_figs.json stays
-		// comparable across PRs.
-		{"dynamic", func(*engine.Runner) error {
-			_, err := experiments.Dynamic(ctx, 1, 10, 0.45)
-			return err
-		}},
-		{"replay", func(*engine.Runner) error {
-			_, _, err := experiments.ReplayCheck(ctx, 1, 0.9)
-			return err
-		}},
-	}
 	report := benchReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
@@ -304,17 +261,16 @@ func writeBenchJSON(ctx context.Context, path, figure string, seeds, parallel in
 		Workers:     parallel,
 	}
 	matched := false
-	for _, f := range figs {
+	for _, f := range figures(nil, io.Discard) {
 		if figure != "all" && figure != f.name {
 			continue
 		}
 		matched = true
-		eng := engine.New(engine.Options{Workers: parallel, Cache: engine.NewCache()})
-		start := time.Now()
-		if err := f.fn(eng); err != nil {
+		eng, wall, err := runFigure(ctx, f, seeds, parallel, io.Discard)
+		if err != nil {
 			return fmt.Errorf("bench %s: %w", f.name, err)
 		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
+		ms := float64(wall.Microseconds()) / 1000
 		st := eng.Stats()
 		hits, misses := eng.Cache().Counts()
 		report.Figures = append(report.Figures, benchEntry{Name: f.name, WallMS: ms,

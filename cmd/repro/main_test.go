@@ -1,8 +1,11 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -117,14 +120,14 @@ func TestChurnReplay(t *testing.T) {
 
 // TestParallelFlagByteIdentical is the CLI face of the engine's
 // determinism guarantee: -parallel 1 and -parallel 8 emit the same
-// bytes on stdout, with progress confined to stderr.
+// bytes on stdout for every figure, with progress confined to stderr.
 func TestParallelFlagByteIdentical(t *testing.T) {
 	var serialOut, serialProg strings.Builder
-	if err := run([]string{"-figure", "fig7", "-seeds", "2", "-parallel", "1"}, &serialOut, &serialProg); err != nil {
+	if err := run([]string{"-figure", "all", "-seeds", "1", "-parallel", "1"}, &serialOut, &serialProg); err != nil {
 		t.Fatal(err)
 	}
 	var parOut, parProg strings.Builder
-	if err := run([]string{"-figure", "fig7", "-seeds", "2", "-parallel", "8"}, &parOut, &parProg); err != nil {
+	if err := run([]string{"-figure", "all", "-seeds", "1", "-parallel", "8"}, &parOut, &parProg); err != nil {
 		t.Fatal(err)
 	}
 	if parOut.String() != serialOut.String() {
@@ -137,6 +140,60 @@ func TestParallelFlagByteIdentical(t *testing.T) {
 	}
 	if strings.Contains(parOut.String(), "workers=") {
 		t.Error("progress leaked onto stdout")
+	}
+}
+
+// TestBenchJSONTimesThePrintTable: -bench-json reports one entry per
+// figure of the print table, in print order, then churn_resolve.
+func TestBenchJSONTimesThePrintTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times every figure; TestParallelFlagByteIdentical already renders the table in -short mode")
+	}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if _, err := runToString(t, "-bench-json", path, "-seeds", "1"); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report benchReport
+	if err := json.Unmarshal(b, &report); err != nil {
+		t.Fatal(err)
+	}
+	var got, want []string
+	for _, f := range report.Figures {
+		got = append(got, f.Name)
+	}
+	for _, f := range figures(nil, io.Discard) {
+		want = append(want, f.name)
+	}
+	want = append(want, "churn_resolve")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("bench entries %v, want %v", got, want)
+	}
+}
+
+// TestSeedsBelowOneRejected: a non-positive -seeds is an input error in
+// both modes, reported before any figure runs or any report is written.
+func TestSeedsBelowOneRejected(t *testing.T) {
+	for _, seeds := range []string{"0", "-1"} {
+		for _, fig := range []string{"fig7", "fig9"} {
+			out, err := runToString(t, "-figure", fig, "-seeds", seeds)
+			if err == nil || !strings.Contains(err.Error(), "-seeds") {
+				t.Errorf("-figure %s -seeds %s: err = %v, want a -seeds error", fig, seeds, err)
+			}
+			if out != "" {
+				t.Errorf("-figure %s -seeds %s printed output:\n%s", fig, seeds, out)
+			}
+		}
+		path := filepath.Join(t.TempDir(), "bench.json")
+		if _, err := runToString(t, "-bench-json", path, "-seeds", seeds); err == nil {
+			t.Errorf("-bench-json -seeds %s accepted", seeds)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("-bench-json -seeds %s wrote a report", seeds)
+		}
 	}
 }
 

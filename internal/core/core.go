@@ -36,8 +36,7 @@ type SolveStats struct {
 	DevexResets int
 	// WarmStarts is the number of branch-and-bound nodes whose LP
 	// relaxation was warm-started from the parent's basis, plus the
-	// warm artifacts (cover hint, seeded root basis) a session solve
-	// applied.
+	// seeded root LP basis a session solve applied.
 	WarmStarts int
 	// CutsAdded is the number of cutting planes (lifted cover and
 	// clique cuts) the MIP root separation added.

@@ -139,9 +139,8 @@ type Result struct {
 	//     dependent like Nodes when Workers > 1.
 	//   - Pivots, the simplex iterations of the root LP solves (0 when
 	//     the LP was skipped).
-	//   - WarmStarts, the warm artifacts the solve applied: an adopted
-	//     incumbent hint and a root LP completed on a seeded basis each
-	//     count one. Always 0 for cold solves.
+	//   - WarmStarts, 1 when the root LP completed on a seeded basis
+	//     (ExactOptions.Warm), else 0. Always 0 for cold solves.
 	core.SolveStats
 }
 
@@ -231,11 +230,12 @@ type ExactOptions struct {
 	// sets).
 	NoDominance bool
 	// Warm carries artifacts from a previous solve of a related
-	// instance (nil = cold solve). Artifacts are revalidated against
-	// THIS instance before use, so a stale Warm can only cost time,
-	// never correctness — and never the answer: the returned cover is
-	// byte-identical to a cold solve's whenever both prove optimality
-	// (see the reconstruction phase in Exact).
+	// instance (nil = cold solve). The warm solve runs the cold control
+	// flow; the artifacts only seed the phase-2 root LP and are
+	// revalidated against THIS instance there, so a stale Warm can only
+	// cost time, never correctness — and never the answer: the returned
+	// cover is byte-identical to a cold solve's whenever both prove
+	// optimality (see the reconstruction phase in Exact).
 	Warm *Warm
 	// Capture, when non-nil, receives artifacts of this solve for a
 	// future warm re-solve. Capturing never changes the solve itself.
@@ -244,11 +244,6 @@ type ExactOptions struct {
 
 // Warm is the artifact bundle a warm solve may reuse.
 type Warm struct {
-	// Hint is a candidate cover (set indices) from a previous solve of
-	// a related instance. It is feasibility-checked against this
-	// instance and adopted as the starting incumbent only when valid
-	// and strictly shorter than the greedy warm start.
-	Hint []int
 	// Basis seeds the root LP via lp.SolveContextFrom. A basis whose
 	// shape no longer matches (the mutation changed the LP dimensions)
 	// falls back to a cold LP solve inside the lp package.
@@ -360,45 +355,10 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 	// evolving incumbent, so the pre-search values are frozen here.
 	basePhi, baseLambda, baseUncov0 := s.dualPhi, s.dualLambda, s.dualUncov0
 
-	// Warm injection (value phase only): a previous solve's artifacts
-	// may shortcut the optimality proof, but the final answer never
-	// depends on them — only the proven optimum value flows into the
-	// reconstruction below, and a capped warm solve reports Exact=false
-	// exactly like a capped cold one.
-	proven := false
-	if w := opts.Warm; w != nil {
-		if hw, ok := hintCovered(in, w.Hint); ok && hw >= target-coverTol(target) && len(w.Hint) < s.bestLen {
-			s.best = append([]int(nil), w.Hint...)
-			s.bestLen = len(w.Hint)
-			s.st.WarmStarts++
-		}
-		if s.haveRootLB && s.bestLen <= s.rootLB {
-			proven = true // the dual root bound already meets the hint
-		}
-		// Eager root LP — ONLY when the saved basis fits this instance's
-		// relaxation exactly, so the solve is a cheap dual repair whose
-		// bound can prove the hint optimal on the spot and skip every
-		// value phase. Warmth must never pay work the cold control flow
-		// would skip (most cold solves close in the serial burn-in with
-		// no LP at all), so a shape mismatch does NOT fall back to a
-		// cold LP here: the basis just waits for the phase-2 decision
-		// point the cold flow reaches anyway.
-		if !proven && w.Basis != nil {
-			if p, xs := buildRootLP(s.in, s.target, excluded, forced); w.Basis.Fits(p) {
-				if z, dj, sol, ok := solveRootLP(s.ctx, p, xs, w.Basis); ok {
-					s.lpTried = true
-					s.noteRootLP(z, dj, sol)
-					if s.bestLen <= s.rootLB {
-						proven = true
-					}
-				}
-			}
-		}
-		s.seedBasis = w.Basis
+	if opts.Warm != nil {
+		s.seedBasis = opts.Warm.Basis
 	}
-	if !proven {
-		s.runValuePhases(opts, workers, excluded, covered, coveredW, forced)
-	}
+	s.runValuePhases(opts, workers, excluded, covered, coveredW, forced)
 	if s.capped || s.ctx.Err() != nil {
 		// Capped or canceled: the best incumbent with Exact=false, the
 		// historical behaviour, byte-identical to the pre-session solver
@@ -407,7 +367,7 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 	}
 
 	// Value phase proved optimality: opt is a property of the instance
-	// alone, however the proof was reached.
+	// alone, whichever basis the root LP started from.
 	opt := s.bestLen
 	if opt >= len(greedy.Chosen) {
 		// The greedy cover is itself optimal. The search only ever
@@ -480,18 +440,15 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 	return g
 }
 
-// runValuePhases runs the four historical search phases (DESIGN.md §4a)
-// that prove the optimum value (or exhaust the budget): serial burn-in,
-// root LP strengthening, frontier expansion, parallel subtrees. On
-// return either s.capped (budget/cancel) or optimality is proven with
-// s.bestLen the optimum. A warm caller may have already paid the root
-// LP (s.lpTried); the phase-2 decision point then skips it.
+// runValuePhases runs the four search phases (DESIGN.md §4a) that prove
+// the optimum value (or exhaust the budget): serial burn-in, root LP
+// strengthening, frontier expansion, parallel subtrees. On return
+// either s.capped (budget/cancel) or optimality is proven with
+// s.bestLen the optimum.
 func (s *exactSearch) runValuePhases(opts ExactOptions, workers int, excluded []bool, covered bitset, coveredW float64, forced []int) {
 	// Phase 1 — serial burn-in: the strengthened serial search with a
 	// fixed node budget. Most instances close here; the budget (not a
-	// wall clock) keeps the phase boundary deterministic. An eager warm
-	// caller arrives with the root LP already paid (s.lpTried) and its
-	// bans active, so its burn-in searches a tighter tree.
+	// wall clock) keeps the phase boundary deterministic.
 	burnIn := coverLPTrigger
 	if burnIn > opts.MaxNodes {
 		burnIn = opts.MaxNodes
@@ -507,16 +464,27 @@ func (s *exactSearch) runValuePhases(opts ExactOptions, workers int, excluded []
 	// a search that survived the burn-in pays one LP solve for a global
 	// lower bound and reduced-cost set bans. The bans are frozen
 	// against the burn-in incumbent before any parallelism starts, so
-	// they cannot leak schedule timing into branch selection.
+	// they cannot leak schedule timing into branch selection. A warm
+	// solve seeds this LP with the saved basis.
 	s.capped = false
-	if !s.lpTried {
-		s.lpTried = true
-		if z, dj, sol, ok := rootLP(s.ctx, s.in, s.target, excluded, forced, s.seedBasis); ok {
-			s.noteRootLP(z, dj, sol)
+	if z, dj, sol, ok := rootLP(s.ctx, s.in, s.target, excluded, forced, s.seedBasis); ok {
+		s.lpZ, s.lpDj = z, dj
+		s.st.Pivots += sol.Iterations
+		if sol.Warm {
+			s.st.WarmStarts++
 		}
-	}
-	if s.lpDj != nil && s.bestLen <= s.rootLB {
-		return // the incumbent meets the LP bound
+		if s.capture != nil {
+			s.capture.Basis = sol.Basis()
+		}
+		if rlb := int(math.Ceil(z - 1e-6)); rlb > s.rootLB {
+			s.rootLB = rlb
+		}
+		s.haveRootLB = s.rootLB >= 1
+		s.banned = make([]bool, len(s.in.Sets))
+		s.refreshBans()
+		if s.bestLen <= s.rootLB {
+			return // the incumbent meets the LP bound
+		}
 	}
 	if !opts.NoDualBound && s.lpDj == nil {
 		// Same decision point, for the instances the LP row cap turned
@@ -551,47 +519,6 @@ func (s *exactSearch) runValuePhases(opts ExactOptions, workers int, excluded []
 
 	// Phase 4 — parallel subtree search with deterministic merge.
 	s.runSubtrees(workers, opts.MaxNodes)
-}
-
-// noteRootLP installs a successful root LP's artifacts: objective bound,
-// reduced-cost bans, effort counters, and the captured basis.
-func (s *exactSearch) noteRootLP(z float64, dj []float64, sol *lp.Solution) {
-	s.lpZ, s.lpDj = z, dj
-	s.st.Pivots += sol.Iterations
-	if sol.Warm {
-		s.st.WarmStarts++
-	}
-	if s.capture != nil {
-		s.capture.Basis = sol.Basis()
-	}
-	if rlb := int(math.Ceil(z - 1e-6)); rlb > s.rootLB {
-		s.rootLB = rlb
-	}
-	s.haveRootLB = s.rootLB >= 1
-	s.banned = make([]bool, len(s.in.Sets))
-	s.refreshBans()
-}
-
-// hintCovered validates a warm cover hint against the instance: every
-// index in range, and returns the total weight the hinted sets cover.
-func hintCovered(in Instance, hint []int) (float64, bool) {
-	if len(hint) == 0 {
-		return 0, false
-	}
-	covered := newBitset(in.NumElements)
-	w := 0.0
-	for _, si := range hint {
-		if si < 0 || si >= len(in.Sets) {
-			return 0, false
-		}
-		for _, e := range in.Sets[si] {
-			if !covered.get(e) {
-				covered.set(e)
-				w += in.weight(e)
-			}
-		}
-	}
-	return w, true
 }
 
 // lpRowsOK reports whether the instance is small enough for a cold root
@@ -822,7 +749,7 @@ type exactSearch struct {
 
 	// Root LP strengthening state (the set-cover face of the MIP
 	// pipeline, see DESIGN.md §4). The LP is paid at most once, at the
-	// deterministic burn-in → parallel phase boundary (lpTried). lpZ is
+	// deterministic burn-in → parallel phase boundary. lpZ is
 	// the relaxation objective, lpDj the per-set reduced costs (nil
 	// when the LP was skipped or failed), rootLB the best global lower
 	// bound (ceil of the LP objective or the root dual-ascent value,
@@ -830,7 +757,6 @@ type exactSearch struct {
 	// cost against the current incumbent, and doneOptimal flips when
 	// the incumbent meets rootLB (the rest of the tree cannot improve
 	// and the search stops, still exact).
-	lpTried      bool
 	lpZ          float64
 	lpDj         []float64
 	rootLB       int
@@ -1079,14 +1005,6 @@ func rootLP(ctx context.Context, in Instance, target float64, excluded []bool, f
 	if seed == nil && !lpRowsOK(in) {
 		return 0, nil, nil, false
 	}
-	p, xs := buildRootLP(in, target, excluded, forced)
-	return solveRootLP(ctx, p, xs, seed)
-}
-
-// buildRootLP constructs the root relaxation without solving it, so the
-// eager warm path can shape-check a saved basis against the problem it
-// would actually seed before committing to any simplex work.
-func buildRootLP(in Instance, target float64, excluded []bool, forced []int) (*lp.Problem, []lp.Var) {
 	p := lp.NewProblem(lp.Minimize)
 	p.SetExtractDuals(true)
 	xs := make([]lp.Var, len(in.Sets))
@@ -1133,18 +1051,12 @@ func buildRootLP(in Instance, target float64, excluded []bool, forced []int) (*l
 		p.AddConstraint(lp.GE, 0, terms...)
 	}
 	p.AddConstraint(lp.GE, target, covTerms...)
-	return p, xs
-}
-
-// solveRootLP solves a built root relaxation (optionally warm-seeded)
-// and extracts the per-set reduced costs.
-func solveRootLP(ctx context.Context, p *lp.Problem, xs []lp.Var, seed *lp.Basis) (z float64, dj []float64, lpSol *lp.Solution, ok bool) {
 	sol, err := p.SolveContextFrom(ctx, seed)
 	if err != nil || sol.Status != lp.Optimal || sol.ReducedCosts == nil {
 		return 0, nil, nil, false
 	}
-	dj = make([]float64, len(xs))
-	for si := range xs {
+	dj = make([]float64, len(in.Sets))
+	for si := range in.Sets {
 		dj[si] = sol.ReducedCosts[xs[si]]
 	}
 	return sol.Objective, dj, sol, true

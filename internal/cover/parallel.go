@@ -82,7 +82,6 @@ func (s *exactSearch) taskSearch(t *coverTask, budget int, g *atomicMin) *exactS
 		bestLen: s.bestLen,
 		maxN:    budget,
 
-		lpTried:      true,
 		lpZ:          s.lpZ,
 		lpDj:         s.lpDj,
 		rootLB:       s.rootLB,

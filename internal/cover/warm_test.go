@@ -80,9 +80,9 @@ func answerOf(r Result) Result {
 }
 
 // TestWarmResolveMatchesCold is the cover-level resolve==cold lock: on
-// rescaled mutations of random instances, a warm solve carrying the
-// previous cover and root LP basis must return byte-identical answers
-// to a cold solve of the mutated instance.
+// rescaled mutations of random instances, a warm solve seeded with the
+// previous root LP basis must return byte-identical answers to a cold
+// solve of the mutated instance.
 func TestWarmResolveMatchesCold(t *testing.T) {
 	old := coverLPTrigger
 	coverLPTrigger = 1 // force the LP decision point so bases exist
@@ -103,59 +103,41 @@ func TestWarmResolveMatchesCold(t *testing.T) {
 		mut := mutateWeights(base, seed+100)
 		mutTarget := mut.TotalWeight() * 0.92
 		cold := Exact(ctx, mut, mutTarget, ExactOptions{})
-		warm := Exact(ctx, mut, mutTarget, ExactOptions{
-			Warm: &Warm{Hint: prev.Chosen, Basis: cap0.Basis},
-		})
+		warm := Exact(ctx, mut, mutTarget, ExactOptions{Warm: &Warm{Basis: cap0.Basis}})
 		if !reflect.DeepEqual(answerOf(cold), answerOf(warm)) {
 			t.Errorf("seed %d: warm answer diverged\ncold: %+v\nwarm: %+v", seed, cold, warm)
 		}
 	}
 }
 
-// TestWarmStaleArtifactsIgnored feeds garbage warm artifacts: indices
-// out of range and an infeasible hint. The solve must survive them and
-// still match cold byte-for-byte.
+// TestWarmStaleArtifactsIgnored feeds a root LP basis captured on a
+// differently shaped instance. The LP must discard it and solve cold:
+// the answer matches a cold solve and no warm start is counted.
 func TestWarmStaleArtifactsIgnored(t *testing.T) {
+	old := coverLPTrigger
+	coverLPTrigger = 1 // force the LP decision point so the basis is offered
+	t.Cleanup(func() { coverLPTrigger = old })
+
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(7))
-	in := churnInstance(rng, 24, 14, 4)
+	other := churnInstance(rand.New(rand.NewSource(3)), 30, 18, 4)
+	capt := &Capture{}
+	Exact(ctx, other, other.TotalWeight()*0.92, ExactOptions{Capture: capt})
+	if capt.Basis == nil {
+		t.Fatal("the source solve captured no basis")
+	}
+
+	in := churnInstance(rand.New(rand.NewSource(7)), 24, 14, 4)
 	target := in.TotalWeight() * 0.9
 	cold := Exact(ctx, in, target, ExactOptions{})
-	//placevet:ignore maporder -- test table; cases are independent
-	for name, hint := range map[string][]int{
-		"out-of-range": {0, len(in.Sets) + 3},
-		"negative":     {-1, 0},
-		"infeasible":   {0},
-		"empty":        {},
-	} {
-		warm := Exact(ctx, in, target, ExactOptions{Warm: &Warm{Hint: hint}})
-		if !reflect.DeepEqual(answerOf(cold), answerOf(warm)) {
-			t.Errorf("%s hint changed the answer: cold %v warm %v", name, cold.Chosen, warm.Chosen)
-		}
-		if warm.WarmStarts != 0 {
-			t.Errorf("%s hint counted as a warm start", name)
-		}
-	}
-}
-
-// TestWarmAlternateOptimumCanonical: a warm hint that is a DIFFERENT
-// optimal cover (found by permuting set order) must not leak into the
-// answer — the reconstruction phase re-derives the canonical cover from
-// the instance alone.
-func TestWarmAlternateOptimumCanonical(t *testing.T) {
-	ctx := context.Background()
-	// Two disjoint optimal covers of the same 4 elements: {0,1} and
-	// {2,3}. Greedy (largest gain, lowest index) picks sets 0 and 1, so
-	// hinting {2,3} offers an equally-long alternate optimum.
-	in := Instance{
-		NumElements: 4,
-		Sets:        [][]int{{0, 1}, {2, 3}, {0, 2}, {1, 3}},
-	}
-	target := in.TotalWeight()
-	cold := Exact(ctx, in, target, ExactOptions{})
-	warm := Exact(ctx, in, target, ExactOptions{Warm: &Warm{Hint: []int{2, 3}}})
+	warm := Exact(ctx, in, target, ExactOptions{Warm: &Warm{Basis: capt.Basis}})
 	if !reflect.DeepEqual(answerOf(cold), answerOf(warm)) {
-		t.Fatalf("alternate-optimum hint leaked into the answer: cold %v warm %v", cold.Chosen, warm.Chosen)
+		t.Errorf("stale basis changed the answer: cold %v warm %v", cold.Chosen, warm.Chosen)
+	}
+	if warm.Pivots == 0 {
+		t.Fatal("the root LP never ran, so the stale basis was never offered")
+	}
+	if warm.WarmStarts != 0 {
+		t.Errorf("stale basis counted as %d warm starts", warm.WarmStarts)
 	}
 }
 
@@ -174,14 +156,12 @@ func TestWarmCaptureBasis(t *testing.T) {
 		in := churnInstance(rng, 30, 18, 4)
 		target := in.TotalWeight() * 0.92
 		cap0 := &Capture{}
-		prev := Exact(ctx, in, target, ExactOptions{Capture: cap0})
+		Exact(ctx, in, target, ExactOptions{Capture: cap0})
 		if cap0.Basis == nil {
 			continue // burn-in closed before the LP decision point
 		}
 		mut := mutateWeights(in, seed+50)
-		warm := Exact(ctx, mut, mut.TotalWeight()*0.92, ExactOptions{
-			Warm: &Warm{Hint: prev.Chosen, Basis: cap0.Basis},
-		})
+		warm := Exact(ctx, mut, mut.TotalWeight()*0.92, ExactOptions{Warm: &Warm{Basis: cap0.Basis}})
 		warmApplied += warm.WarmStarts
 	}
 	if warmApplied == 0 {

@@ -284,31 +284,6 @@ func TestKeyMultiAndProbeSet(t *testing.T) {
 	}
 }
 
-// TestKeySessionScope: a warm session solve's key must never collide
-// with the cold solve of the same instance and options, and distinct
-// steps of the same session must not collide with each other — a warm
-// result served as cold would break the resolve==cold contract's Stats
-// provenance.
-func TestKeySessionScope(t *testing.T) {
-	in := buildInstance(t, 3)
-	cold := MustKey("tap/exact", in, 0.95, 400000)
-	warm1 := MustKey("tap/exact", in, 0.95, 400000, SessionScope{Session: "s1", Step: 1})
-	warm2 := MustKey("tap/exact", in, 0.95, 400000, SessionScope{Session: "s1", Step: 2})
-	other := MustKey("tap/exact", in, 0.95, 400000, SessionScope{Session: "s2", Step: 1})
-	if warm1 == cold || warm2 == cold {
-		t.Fatal("session-scoped key collides with the cold key")
-	}
-	if warm1 == warm2 {
-		t.Fatal("distinct session steps share a key")
-	}
-	if warm1 == other {
-		t.Fatal("distinct sessions share a key")
-	}
-	if warm1 != MustKey("tap/exact", in, 0.95, 400000, SessionScope{Session: "s1", Step: 1}) {
-		t.Fatal("session-scoped key not stable")
-	}
-}
-
 func TestCacheSeedAndRange(t *testing.T) {
 	c := NewCache()
 	if !c.Seed("k1", 41) {

@@ -67,25 +67,6 @@ func Key(solver string, problem any, params ...any) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// SessionScope is a cache-key marker for warm session solves. A solve
-// that consumed another solve's artifacts (a warm start) can answer
-// with different effort counters than a cold solve of the same
-// instance and options — identical placements, different Stats — so a
-// warm result must never be memoized under, or served from, a cold
-// solve's key. Callers that do cache warm solves append a SessionScope
-// to Key's params; the zero value is reserved for cold solves (the
-// facade's batch runner simply bypasses the cache instead, see
-// repro.Runner.SolveBatch).
-type SessionScope struct {
-	// Session identifies the artifact chain (e.g. a UUID minted at
-	// session creation).
-	Session string
-	// Step is the re-solve ordinal within the session: step n's answer
-	// depends on the artifacts of step n-1, so two steps of the same
-	// session must not collide either.
-	Step int
-}
-
 // MustKey is Key for problem kinds known to be supported; it panics on
 // an unknown kind (a programming error in the caller).
 func MustKey(solver string, problem any, params ...any) string {

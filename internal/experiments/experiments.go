@@ -1,19 +1,18 @@
 // Package experiments regenerates every figure of the paper's
 // evaluation. Each function reproduces one figure as a stats.Series
 // (the textual equivalent of the plot) averaged over `seeds` runs, as
-// the paper averages over 20 simulations. cmd/repro prints them;
-// bench_test.go at the module root times them; EXPERIMENTS.md records
-// paper-versus-measured shapes.
+// the paper averages over 20 simulations. cmd/repro prints them and
+// times them for its -bench-json report; bench_test.go at the module
+// root benchmarks them; EXPERIMENTS.md records paper-versus-measured
+// shapes.
 //
-// Since the engine refactor every multi-seed figure fans its
-// seed × sweep-point cells out on an internal/engine runner: cells run
+// Every multi-seed figure takes the caller's internal/engine runner
+// and fans its seed × sweep-point cells out on it: cells run
 // concurrently on a bounded worker pool, instances and exact solves are
-// memoized behind canonical keys, and results are merged in canonical
-// serial order, so the series are byte-identical whatever the worker
-// count. The legacy one-argument entry points (Fig7, Fig8, …) run on a
-// fresh default runner (GOMAXPROCS workers, per-call cache); the *On
-// variants accept a caller-managed runner so the CLI and benchmarks can
-// control parallelism and share caches across figures.
+// memoized behind canonical keys in the runner's cache, and results are
+// merged in canonical serial order, so the series are byte-identical
+// whatever the worker count. The caller picks the parallelism and
+// decides which figures share a cache.
 package experiments
 
 import (
@@ -43,13 +42,6 @@ const DefaultSeeds = 20
 // KSweep is the x axis of Figures 7 and 8 (percentage of monitored
 // traffic, starting from 75%).
 var KSweep = []float64{0.75, 0.80, 0.85, 0.90, 0.95, 1.00}
-
-// NewRunner builds the default figure engine: GOMAXPROCS workers and a
-// fresh memoizing cache. The legacy entry points call it per figure so
-// repeated benchmark iterations stay honest (no cross-call memoization).
-func NewRunner() *engine.Runner {
-	return engine.New(engine.Options{Cache: engine.NewCache()})
-}
 
 // cached memoizes compute under the runner's cache with a typed
 // result — for ctx-independent builds (instances, routed traffic).
@@ -118,12 +110,7 @@ func cachedInstance(eng *engine.Runner, cfg topology.Config, seed int64) *core.I
 // (Theorem 1 view), which provably returns the same optima as the
 // paper's CPLEX-solved MIP — internal/passive's tests cross-check the
 // two on smaller instances.
-func PassivePlacement(ctx context.Context, cfg topology.Config, figure string, seeds, maxNodes int) *stats.Series {
-	return PassivePlacementOn(ctx, NewRunner(), cfg, figure, seeds, maxNodes)
-}
-
-// PassivePlacementOn is PassivePlacement on a caller-managed engine.
-func PassivePlacementOn(ctx context.Context, eng *engine.Runner, cfg topology.Config, figure string, seeds, maxNodes int) *stats.Series {
+func PassivePlacement(ctx context.Context, eng *engine.Runner, cfg topology.Config, figure string, seeds, maxNodes int) *stats.Series {
 	s := stats.NewSeries(
 		figure+": passive monitoring devices placement",
 		"% monitored", "number of monitoring devices",
@@ -148,11 +135,8 @@ func PassivePlacementOn(ctx context.Context, eng *engine.Runner, cfg topology.Co
 }
 
 // Fig7 is the 10-router POP of Figure 7 (27 links, 132 traffics).
-func Fig7(ctx context.Context, seeds int) *stats.Series { return Fig7On(ctx, NewRunner(), seeds) }
-
-// Fig7On is Fig7 on a caller-managed engine.
-func Fig7On(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
-	return PassivePlacementOn(ctx, eng, topology.Paper10, "Figure 7 (10-router POP)", seeds, 0)
+func Fig7(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
+	return PassivePlacement(ctx, eng, topology.Paper10, "Figure 7 (10-router POP)", seeds, 0)
 }
 
 // Fig8 is the 15-router POP of Figure 8 (71 links, 1980 traffics).
@@ -166,11 +150,8 @@ func Fig7On(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
 // points — the two exceptions (seed 9 k=0.95, seed 13 k=1.00) sit one
 // device higher, and the larger budget only ever held incumbents
 // there, not optimality proofs — at a quarter of the node cost.
-func Fig8(ctx context.Context, seeds int) *stats.Series { return Fig8On(ctx, NewRunner(), seeds) }
-
-// Fig8On is Fig8 on a caller-managed engine.
-func Fig8On(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
-	return PassivePlacementOn(ctx, eng, topology.Paper15, "Figure 8 (15-router POP)", seeds, 100_000)
+func Fig8(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
+	return PassivePlacement(ctx, eng, topology.Paper15, "Figure 8 (15-router POP)", seeds, 100_000)
 }
 
 // beaconSeed is the pre-drawn scenario of one seed of a beacon figure:
@@ -186,12 +167,7 @@ type beaconSeed struct {
 // algorithm of [15] (Thiran), the paper's greedy, and the exact ILP, as
 // the candidate set V_B grows. Candidates are random router subsets,
 // re-drawn per seed.
-func BeaconPlacement(ctx context.Context, cfg topology.Config, figure string, seeds int, vbSweep []int) *stats.Series {
-	return BeaconPlacementOn(ctx, NewRunner(), cfg, figure, seeds, vbSweep)
-}
-
-// BeaconPlacementOn is BeaconPlacement on a caller-managed engine.
-func BeaconPlacementOn(ctx context.Context, eng *engine.Runner, cfg topology.Config, figure string, seeds int, vbSweep []int) *stats.Series {
+func BeaconPlacement(ctx context.Context, eng *engine.Runner, cfg topology.Config, figure string, seeds int, vbSweep []int) *stats.Series {
 	s := stats.NewSeries(
 		figure+": active monitoring beacons placement",
 		"selectable beacons", "number of beacons selected",
@@ -288,40 +264,26 @@ func vbSweep(max int) []int {
 }
 
 // Fig9 is the 15-router beacon experiment of Figure 9.
-func Fig9(ctx context.Context, seeds int) *stats.Series { return Fig9On(ctx, NewRunner(), seeds) }
-
-// Fig9On is Fig9 on a caller-managed engine.
-func Fig9On(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
-	return BeaconPlacementOn(ctx, eng, topology.Paper15, "Figure 9 (15-router POP)", seeds, vbSweep(15))
+func Fig9(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
+	return BeaconPlacement(ctx, eng, topology.Paper15, "Figure 9 (15-router POP)", seeds, vbSweep(15))
 }
 
 // Fig10 is the 29-router beacon experiment of Figure 10.
-func Fig10(ctx context.Context, seeds int) *stats.Series { return Fig10On(ctx, NewRunner(), seeds) }
-
-// Fig10On is Fig10 on a caller-managed engine.
-func Fig10On(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
-	return BeaconPlacementOn(ctx, eng, topology.Paper29, "Figure 10 (29-router POP)", seeds, vbSweep(29))
+func Fig10(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
+	return BeaconPlacement(ctx, eng, topology.Paper29, "Figure 10 (29-router POP)", seeds, vbSweep(29))
 }
 
 // Fig11 is the 80-router beacon experiment of Figure 11.
-func Fig11(ctx context.Context, seeds int) *stats.Series { return Fig11On(ctx, NewRunner(), seeds) }
-
-// Fig11On is Fig11 on a caller-managed engine.
-func Fig11On(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
-	return BeaconPlacementOn(ctx, eng, topology.Paper80, "Figure 11 (80-router POP)", seeds, vbSweep(80))
+func Fig11(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
+	return BeaconPlacement(ctx, eng, topology.Paper80, "Figure 11 (80-router POP)", seeds, vbSweep(80))
 }
 
 // Large150 is the paper's §7 outlook ("we are also currently testing
 // our solution on larger POPs, with at least 150 routers"): the beacon
 // comparison on a 150-router POP, sweeping a coarse candidate grid.
-func Large150(ctx context.Context, seeds int) *stats.Series {
-	return Large150On(ctx, NewRunner(), seeds)
-}
-
-// Large150On is Large150 on a caller-managed engine.
-func Large150On(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
+func Large150(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
 	cfg := topology.Config{Routers: 150, InterRouterLinks: 280, Endpoints: 80}
-	return BeaconPlacementOn(ctx, eng, cfg, "§7 outlook (150-router POP)", seeds, []int{10, 30, 60, 90, 120, 150})
+	return BeaconPlacement(ctx, eng, cfg, "§7 outlook (150-router POP)", seeds, []int{10, 30, 60, 90, 120, 150})
 }
 
 // Fig6 reproduces Figure 6: the non-uniform traffic weight over a
@@ -400,12 +362,7 @@ func cachedMulti(eng *engine.Runner, cfg topology.Config, seed int64) *core.Mult
 // setup+exploitation cost of PPME(h,k) across the coverage sweep on a
 // multi-routed 10-router POP, compared with the cost of the PPM
 // placement run at full rate.
-func PPMECost(ctx context.Context, seeds int) *stats.Series {
-	return PPMECostOn(ctx, NewRunner(), seeds)
-}
-
-// PPMECostOn is PPMECost on a caller-managed engine.
-func PPMECostOn(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
+func PPMECost(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
 	s := stats.NewSeries(
 		"§5: PPME(h,k) cost vs full-rate PPM placement",
 		"% monitored", "total cost (setup + exploitation)",
@@ -450,8 +407,10 @@ func PPMECostOn(ctx context.Context, eng *engine.Runner, seeds int) *stats.Serie
 	return s
 }
 
-// DynamicResult summarizes the §5.4 dynamic-traffic experiment.
+// DynamicResult summarizes the §5.4 dynamic-traffic experiment on one
+// seed.
 type DynamicResult struct {
+	Seed               int64
 	Rounds, Recomputes int
 	// MinCoverage is the worst achieved coverage right before an
 	// adaptation; FinalCoverage the coverage after the last round.
@@ -462,10 +421,17 @@ type DynamicResult struct {
 }
 
 // Dynamic runs the §5.4 controller over `rounds` drift steps of ±drift
-// relative volume change and reports adaptation statistics. One run is
-// inherently sequential (the controller reacts round by round);
-// DynamicBatch fans independent seeds out on the engine.
-func Dynamic(ctx context.Context, seed int64, rounds int, drift float64) (DynamicResult, error) {
+// relative volume change for seeds 0..seeds-1, fanned out on eng, and
+// returns the per-seed adaptation statistics in seed order.
+func Dynamic(ctx context.Context, eng *engine.Runner, seeds, rounds int, drift float64) ([]DynamicResult, error) {
+	return engine.Map(ctx, eng, seeds, func(ctx context.Context, i int) (DynamicResult, error) {
+		return dynamicSeed(ctx, int64(i), rounds, drift)
+	})
+}
+
+// dynamicSeed is one seed of Dynamic. The run is inherently sequential:
+// the controller reacts round by round.
+func dynamicSeed(ctx context.Context, seed int64, rounds int, drift float64) (DynamicResult, error) {
 	cfg := topology.Config{Routers: 7, InterRouterLinks: 11, Endpoints: 8, Seed: seed}
 	pop := topology.Generate(cfg)
 	demands := traffic.Demands(pop, traffic.Config{Seed: seed})
@@ -483,7 +449,7 @@ func Dynamic(ctx context.Context, seed int64, rounds int, drift float64) (Dynami
 	if err != nil {
 		return DynamicResult{}, err
 	}
-	res := DynamicResult{Rounds: rounds, MinCoverage: 1}
+	res := DynamicResult{Seed: seed, Rounds: rounds, MinCoverage: 1}
 	cur := demands
 	for r := 0; r < rounds; r++ {
 		cur = traffic.Perturb(cur, drift, seed*1000+int64(r))
@@ -519,28 +485,14 @@ func Dynamic(ctx context.Context, seed int64, rounds int, drift float64) (Dynami
 	return res, nil
 }
 
-// DynamicBatch runs the §5.4 experiment for seeds 0..seeds-1 on the
-// engine and returns the per-seed results in seed order.
-func DynamicBatch(ctx context.Context, eng *engine.Runner, seeds, rounds int, drift float64) ([]DynamicResult, error) {
-	return engine.Map(ctx, eng, seeds, func(ctx context.Context, i int) (DynamicResult, error) {
-		return Dynamic(ctx, int64(i), rounds, drift)
-	})
-}
-
 // samplerPeriods is the x axis of the §5.2 bias experiment.
 var samplerPeriods = []int{10, 100, 1000}
 
 // SamplerBias reproduces the §5.2 discussion (the Metropolis study
 // quoted by the paper): how the sampling techniques distort mice
 // statistics as the period N grows — with 1-in-1000 sampling, most mice
-// flows are never seen at all.
-func SamplerBias(seed int64) *stats.Series {
-	return SamplerBiasOn(context.Background(), NewRunner(), seed)
-}
-
-// SamplerBiasOn is SamplerBias with the per-period cells fanned out on
-// a caller-managed engine.
-func SamplerBiasOn(ctx context.Context, eng *engine.Runner, seed int64) *stats.Series {
+// flows are never seen at all. The per-period cells fan out on eng.
+func SamplerBias(ctx context.Context, eng *engine.Runner, seed int64) *stats.Series {
 	s := stats.NewSeries(
 		"§5.2: sampling bias — % of mice flows entirely missed",
 		"period N", "% mice missed",
@@ -589,36 +541,32 @@ type ReplayOutcome struct {
 	Promised, Achieved float64
 }
 
-// ReplayCheck validates a PPME solution by packet replay (the simulate
-// substrate): returns promised and achieved coverage.
-func ReplayCheck(ctx context.Context, seed int64, k float64) (promised, achieved float64, err error) {
+// Replay validates PPME solutions at coverage k by packet replay (the
+// simulate substrate) for seeds 0..seeds-1, fanned out on eng, and
+// returns the outcomes in seed order.
+func Replay(ctx context.Context, eng *engine.Runner, seeds int, k float64) ([]ReplayOutcome, error) {
+	return engine.Map(ctx, eng, seeds, func(ctx context.Context, i int) (ReplayOutcome, error) {
+		return replaySeed(ctx, int64(i), k)
+	})
+}
+
+// replaySeed is one seed of Replay.
+func replaySeed(ctx context.Context, seed int64, k float64) (ReplayOutcome, error) {
 	cfg := topology.Config{Routers: 7, InterRouterLinks: 11, Endpoints: 8, Seed: seed}
 	pop := topology.Generate(cfg)
 	demands := traffic.Demands(pop, traffic.Config{Seed: seed})
 	mi, err := traffic.RouteMulti(pop, demands, 2)
 	if err != nil {
-		return 0, 0, err
+		return ReplayOutcome{}, err
 	}
 	sol, err := sampling.Solve(ctx, mi, sampling.Config{K: k, MaxNodes: 20000})
 	if err != nil {
-		return 0, 0, err
+		return ReplayOutcome{}, err
 	}
-	promised = simulate.PromisedFraction(mi, sol.Rates)
+	promised := simulate.PromisedFraction(mi, sol.Rates)
 	res, err := simulate.Run(mi, sol.Rates, simulate.Options{Seed: seed, PacketsPerUnit: 100})
 	if err != nil {
-		return 0, 0, err
+		return ReplayOutcome{}, err
 	}
-	return promised, res.Fraction, nil
-}
-
-// ReplayBatch runs ReplayCheck for seeds 0..seeds-1 on the engine and
-// returns the outcomes in seed order.
-func ReplayBatch(ctx context.Context, eng *engine.Runner, seeds int, k float64) ([]ReplayOutcome, error) {
-	return engine.Map(ctx, eng, seeds, func(ctx context.Context, i int) (ReplayOutcome, error) {
-		prom, ach, err := ReplayCheck(ctx, int64(i), k)
-		if err != nil {
-			return ReplayOutcome{}, err
-		}
-		return ReplayOutcome{Seed: int64(i), Promised: prom, Achieved: ach}, nil
-	})
+	return ReplayOutcome{Seed: seed, Promised: promised, Achieved: res.Fraction}, nil
 }

@@ -47,9 +47,6 @@ func NewNetwork(n int) *Network {
 // NumNodes returns the number of nodes.
 func (f *Network) NumNodes() int { return f.n }
 
-// NumArcs returns the number of forward arcs.
-func (f *Network) NumArcs() int { return len(f.to) / 2 }
-
 // AddArc adds a directed arc from u to v with the given capacity and
 // per-unit cost, returning its handle. Capacity may be math.Inf(1).
 func (f *Network) AddArc(u, v int, capacity, cost float64) Arc {

@@ -135,7 +135,6 @@ type Problem struct {
 	upper        []float64
 	cost         []float64
 	rows         []row
-	maxIter      int
 	algo         Algorithm
 	pricing      Pricing
 	extractDuals bool
@@ -151,10 +150,6 @@ type row struct {
 func NewProblem(sense Sense) *Problem {
 	return &Problem{sense: sense}
 }
-
-// SetMaxIterations overrides the simplex iteration budget (default:
-// 200·(rows+cols)+5000, which is generous for the paper's instances).
-func (p *Problem) SetMaxIterations(n int) { p.maxIter = n }
 
 // SetAlgorithm selects the simplex implementation (default
 // AlgoRevisedSparse).
@@ -301,26 +296,6 @@ type Basis struct {
 	cols   []int
 	status []colStatus
 	m, n   int
-}
-
-// Fits reports whether the basis snapshot matches p's standard form —
-// the precondition for SolveContextFrom's warm path to engage rather
-// than discard the seed. SolveContextFrom already degrades to a cold
-// solve on mismatch; Fits is for callers deciding whether to pay for an
-// OPTIONAL solve at all: an LP worth running only when it will be a
-// cheap warm repair must be skipped, not solved cold, on mismatch.
-func (b *Basis) Fits(p *Problem) bool {
-	if b == nil {
-		return false
-	}
-	m := len(p.rows)
-	nSlack := 0
-	for _, r := range p.rows {
-		if r.rel != EQ {
-			nSlack++
-		}
-	}
-	return b.m == m && b.n == len(p.names)+nSlack+m
 }
 
 // ErrNoVariables is returned when Solve is called on an empty problem.

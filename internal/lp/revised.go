@@ -118,16 +118,13 @@ func newRevised(p *Problem) *revised {
 		xB:         make([]float64, m),
 		weight:     make([]float64, n),
 		dj:         make([]float64, n),
-		maxIter:    p.maxIter,
+		maxIter:    200*(m+n) + 5000,
 		blandLimit: 60,
 		pricing:    p.pricing,
 		sAlpha:     make([]float64, m),
 		sRho:       make([]float64, m),
 		sWork:      make([]float64, m),
 		sArj:       make([]float64, n),
-	}
-	if rv.maxIter == 0 {
-		rv.maxIter = 200*(m+n) + 5000
 	}
 
 	for j := 0; j < nStruct; j++ {

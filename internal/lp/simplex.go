@@ -74,11 +74,8 @@ func newTableau(p *Problem) *tableau {
 		lower:      make([]float64, n),
 		upper:      make([]float64, n),
 		cost:       make([]float64, n),
-		maxIter:    p.maxIter,
+		maxIter:    200*(m+n) + 5000,
 		blandLimit: 60,
-	}
-	if tb.maxIter == 0 {
-		tb.maxIter = 200*(m+n) + 5000
 	}
 
 	for j := 0; j < nStruct; j++ {

@@ -74,10 +74,6 @@ func InverseLoadCost(_ graph.Edge, load float64) float64 {
 	return 1 / load
 }
 
-// UnitCost charges every opened edge arc the same; combined with the
-// pruning pass of FlowHeuristic it gives a pure feasibility rounding.
-func UnitCost(graph.Edge, float64) float64 { return 1 }
-
 // FlowHeuristic solves the linear-cost relaxation of MECF as a min-cost
 // flow and rounds it: every S→w_e arc carrying flow becomes a tap
 // device, then a reverse-delete pass drops devices whose removal keeps

@@ -34,7 +34,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro"
 	"repro/internal/core"
@@ -61,32 +60,7 @@ type Case struct {
 	// (tap/ilp, sample/ppme, the probe set, beacon/ilp), so the
 	// exact-solver cost is paid once per case even though invariants
 	// run as independent engine tasks. Results are shared: read-only.
-	memo *caseMemo
-}
-
-// caseMemo is a keyed single-flight: the first caller of a key runs
-// the computation, concurrent and later callers share the outcome.
-type caseMemo struct {
-	mu sync.Mutex
-	m  map[string]*memoEntry
-}
-
-type memoEntry struct {
-	once sync.Once
-	v    any
-	err  error
-}
-
-func (m *caseMemo) do(key string, compute func() (any, error)) (any, error) {
-	m.mu.Lock()
-	e, ok := m.m[key]
-	if !ok {
-		e = &memoEntry{}
-		m.m[key] = e
-	}
-	m.mu.Unlock()
-	e.once.Do(func() { e.v, e.err = compute() })
-	return e.v, e.err
+	memo *engine.Cache
 }
 
 // solve is repro.Solve memoized under the case's solver-name key; all
@@ -94,7 +68,7 @@ func (m *caseMemo) do(key string, compute func() (any, error)) (any, error) {
 // fixed option set (WithCoverage(c.K)), so the name alone is a sound
 // key. Budget sweeps bypass it (every budget is solved once anyway).
 func (c Case) solve(ctx context.Context, solver string, problem repro.Problem) (*repro.Result, error) {
-	v, err := c.memo.do(solver, func() (any, error) {
+	v, err := c.memo.Do(solver, func() (any, error) {
 		return repro.Solve(ctx, solver, problem, repro.WithCoverage(c.K))
 	})
 	if err != nil {
@@ -127,7 +101,7 @@ func BuildCases(families []string, sizes []int, seeds []int64, k float64) ([]Cas
 				}
 				out = append(out, Case{
 					Family: fam, Size: size, Seed: seed, K: k, In: in, Multi: mi,
-					memo: &caseMemo{m: make(map[string]*memoEntry)},
+					memo: engine.NewCache(),
 				})
 			}
 		}
@@ -395,7 +369,7 @@ func checkSimulateConfirmsPromise(ctx context.Context, c Case) error {
 // probes computes (once per case) the probe set of the POP graph with
 // every node as candidate beacon (the §6.1 first phase).
 func (c Case) probes() (repro.ProbeSet, error) {
-	v, err := c.memo.do("probes", func() (any, error) {
+	v, err := c.memo.Do("probes", func() (any, error) {
 		n := c.In.G.NumNodes()
 		candidates := make([]graph.NodeID, 0, n)
 		for nd := 0; nd < n; nd++ {

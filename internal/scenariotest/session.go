@@ -14,9 +14,9 @@ import (
 // re-optimization (repro.Session) must be answer-preserving. For every
 // registered solver, replaying a churn chain through Session.Resolve
 // must produce answers byte-identical to cold Solve calls on the same
-// mutated instances — warm artifacts (previous incumbent, saved root
-// LP basis) are allowed to change effort counters and wall time, never
-// the placement, objective, bound, or optimality flag.
+// mutated instances — the warm artifact (the saved root LP basis) is
+// allowed to change effort counters and wall time, never the
+// placement, objective, bound, or optimality flag.
 //
 // One carve-out, mirrored from the cover search's documented contract:
 // a budget-capped or canceled exact solve returns a best-effort

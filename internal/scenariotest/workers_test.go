@@ -140,8 +140,8 @@ func TestExactCoverWorkerIdentity(t *testing.T) {
 
 // TestWarmResolveWorkerIdentity extends the determinism oracle to warm
 // re-solves: replaying each family's churn chain, a solve seeded with
-// the previous step's artifacts (incumbent hint + root LP basis, what
-// Session.Resolve ships) must return byte-identical placements for
+// the previous step's root LP basis (what Session.Resolve ships) must
+// return byte-identical placements for
 // Workers ∈ {1, 2, 8}, each identical to the cold serial solve of the
 // same instance. This is the resolve==cold lock at the cover layer,
 // where the worker pool actually lives (the facade's tap/exact solve
@@ -186,13 +186,12 @@ func TestWarmResolveWorkerIdentity(t *testing.T) {
 			return 0, fmt.Errorf("%s/%d/%d: churn chain: %w", fam, sz, seed, err)
 		}
 		engaged := 0
-		var prevHint []int
 		var prevBasis *lp.Basis
 		for step, in := range chain {
 			cold := passive.ExactCover(ctx, in, k, cover.ExactOptions{MaxNodes: maxNodes, Workers: 1})
 			var warm *cover.Warm
-			if step > 0 && (prevHint != nil || prevBasis != nil) {
-				warm = &cover.Warm{Hint: prevHint, Basis: prevBasis}
+			if prevBasis != nil {
+				warm = &cover.Warm{Basis: prevBasis}
 			}
 			capt := &cover.Capture{}
 			for _, w := range []int{1, 2, 8} {
@@ -221,13 +220,6 @@ func TestWarmResolveWorkerIdentity(t *testing.T) {
 				}
 			}
 			prevBasis = capt.Basis
-			prevHint = nil
-			if cold.Exact {
-				prevHint = make([]int, len(cold.Edges))
-				for j, e := range cold.Edges {
-					prevHint[j] = int(e)
-				}
-			}
 		}
 		return engaged, nil
 	})

@@ -40,9 +40,6 @@ func NewPortfolio(name string, members ...string) *Portfolio {
 // Name implements Solver.
 func (p *Portfolio) Name() string { return p.name }
 
-// Members returns the solver names the portfolio races.
-func (p *Portfolio) Members() []string { return append([]string(nil), p.members...) }
-
 // Solve implements Solver: it runs every member concurrently under a
 // shared context and picks the best result.
 func (p *Portfolio) Solve(ctx context.Context, problem Problem, opts ...Option) (*Result, error) {

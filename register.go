@@ -170,8 +170,8 @@ func probeSet(problem Problem) (ProbeSet, error) {
 	return ProbeSet{}, fmt.Errorf("want repro.ProbeSet, got %T", problem)
 }
 
-func ilpOptions(f passive.Formulation, o Options) ILPOptions {
-	return ILPOptions{
+func ilpOptions(f passive.Formulation, o Options) passive.ILPOptions {
+	return passive.ILPOptions{
 		Formulation: f,
 		Installed:   o.Installed,
 		Budget:      o.Budget,

@@ -68,9 +68,6 @@ type (
 
 	// TapPlacement is a passive-monitoring solution (§4).
 	TapPlacement = passive.Placement
-	// ILPOptions configures the exact MIP solver (formulation choice,
-	// incremental placement, device budget).
-	ILPOptions = passive.ILPOptions
 
 	// SamplingConfig and SamplingSolution are the §5 PPME types;
 	// RateController implements the §5.4 adaptation loop; CostModel
@@ -120,19 +117,6 @@ func RouteMulti(pop *POP, demands []Demand, maxRoutes int) (*MultiInstance, erro
 	return traffic.RouteMulti(pop, demands, maxRoutes)
 }
 
-// PlaceTapsILP exposes the full MIP options: formulation choice,
-// incremental placement over installed devices, and device budgets
-// (§4.3).
-func PlaceTapsILP(ctx context.Context, in *Instance, k float64, opts ILPOptions) (TapPlacement, error) {
-	return passive.SolveILP(ctx, in, k, opts)
-}
-
-// MaxCoverage places at most budget devices (plus installed ones) to
-// maximize monitored volume — the paper's expected-gain question.
-func MaxCoverage(ctx context.Context, in *Instance, budget int, installed []EdgeID) (TapPlacement, error) {
-	return passive.MaxCoverage(ctx, in, budget, installed)
-}
-
 // PlaceSamplers solves PPME(h,k) (Linear program 3): device placement
 // plus sampling ratios minimizing setup + exploitation cost (§5.3).
 func PlaceSamplers(ctx context.Context, in *MultiInstance, cfg SamplingConfig) (*SamplingSolution, error) {
@@ -174,13 +158,6 @@ func ComputeProbes(g *Graph, candidates []NodeID) (ProbeSet, error) {
 // achieved coverage is measured.
 func Replay(in *MultiInstance, rates map[EdgeID]float64, opt ReplayOptions) (ReplayResult, error) {
 	return simulate.Run(in, rates, opt)
-}
-
-// PlaceTapsRounding runs the §4.3 randomized-rounding heuristic: round
-// the LP-relaxation of Linear program 2 with boosted probabilities until
-// the coverage target holds, then prune.
-func PlaceTapsRounding(ctx context.Context, in *Instance, k float64, seed int64) (TapPlacement, error) {
-	return passive.RandomizedRounding(ctx, in, k, seed)
 }
 
 // ReoptimizeRatesFlow is the §5.4 min-cost-flow formulation of PPME*

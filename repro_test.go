@@ -105,14 +105,14 @@ func TestIncrementalAndBudgetThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := PlaceTapsILP(context.Background(), in, 0.9, ILPOptions{Installed: base.Taps.Edges[:1]})
+	inc, err := Solve(context.Background(), SolverTapILP, in, WithCoverage(0.9), WithInstalled(base.Taps.Edges[:1]...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inc.Devices() < base.Devices() {
 		t.Fatal("incremental beat the optimum")
 	}
-	mc, err := MaxCoverage(context.Background(), in, 2, nil)
+	mc, err := Solve(context.Background(), SolverTapMaxCover, in, WithBudget(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +165,12 @@ func TestNewFacadeFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := PlaceTapsRounding(context.Background(), in, 0.9, 1)
+	rr, err := Solve(context.Background(), SolverTapRounding, in, WithCoverage(0.9), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Fraction < 0.9-1e-9 {
-		t.Fatalf("rounding coverage %g", rr.Fraction)
+	if rr.Taps.Fraction < 0.9-1e-9 {
+		t.Fatalf("rounding coverage %g", rr.Taps.Fraction)
 	}
 	mi, err := RouteMulti(pop, demands, 2)
 	if err != nil {

@@ -9,32 +9,30 @@ import (
 	"repro/internal/lp"
 )
 
-// This file implements session re-optimization (ROADMAP item 2): a
-// Session re-solves a mutated problem warm, reusing the previous
-// solve's artifacts — the incumbent placement as a search hint and the
-// saved root LP basis — instead of starting cold, while guaranteeing
-// the answer is byte-identical to a cold solve of the mutated instance
-// (the resolve==cold metamorphic lock in internal/scenariotest).
+// This file implements session re-optimization: a Session re-solves a
+// mutated problem warm, seeding the exact cover search's root LP with
+// the previous solve's saved basis instead of starting cold, while
+// guaranteeing the answer is byte-identical to a cold solve of the
+// mutated instance (the resolve==cold metamorphic lock in
+// internal/scenariotest).
 //
-// Which artifacts survive which mutation is governed by the structural
+// Whether the basis survives a mutation is governed by the structural
 // Delta between the previous and the next problem:
 //
-//	class          hint  LP basis   rationale
-//	Unchanged       ✓       ✓       everything still describes the instance
-//	Rescale         ✓       ✓       same traffic rows → same LP shape; the
-//	                                dual-simplex revalidates the basis and
-//	                                falls back cold on rejection
-//	Traffic         ✓       –       rows added/removed change the LP shape;
-//	                                the hint is re-validated against the new
-//	                                instance before adoption
-//	Topology        –       –       edge IDs may be reassigned: nothing from
-//	                                the old instance names the same objects
-//	Unknown         –       –       unsupported problem kind, solve cold
+//	class       LP basis   rationale
+//	Unchanged      ✓       everything still describes the instance
+//	Rescale        ✓       same traffic rows → same LP shape; the dual
+//	                       simplex revalidates the basis and falls back
+//	                       cold on rejection
+//	Traffic        –       rows added/removed change the LP shape:
+//	                       resolve cold
+//	Topology       –       edge IDs may be reassigned: nothing from the
+//	                       old instance names the same objects
+//	Unknown        –       unsupported problem kind, solve cold
 //
-// Soundness never depends on this table: every artifact is re-validated
-// by the solver that consumes it (hints are feasibility-checked, bases
-// shape-checked and dual-repaired). The table only decides what is
-// worth shipping.
+// Soundness never depends on this table: the LP shape-checks and
+// dual-repairs the basis it is seeded with. The table only decides
+// when shipping it is worthwhile.
 
 // DeltaClass classifies the structural mutation between two problems.
 type DeltaClass int
@@ -260,17 +258,18 @@ func diffIDs[T EdgeID | NodeID](prev, cur []T) (added, removed []T, unchanged in
 }
 
 // Session re-solves a drifting problem warm. The first Solve runs cold
-// and captures re-usable artifacts; every subsequent Resolve diffs the
-// new problem against the previous one, ships whichever artifacts the
-// Delta class keeps valid, and re-captures from the new solve. Answers
+// and captures the root LP basis; every subsequent Resolve diffs the
+// new problem against the previous one, ships the basis when the Delta
+// class keeps it valid, and re-captures from the new solve. Answers
 // are byte-identical to cold solves of the same problem — warmth only
 // changes how fast the proof closes (Stats counters show the
 // difference; scenariotest invariant 6 locks the equality).
 //
 // A Session is safe for concurrent use but serializes its solves: the
 // artifact chain is a sequence, not a pool. Results are never shared
-// with a cache — a warm result must not masquerade as a cold one (see
-// engine.SessionScope) — so sessions trade memoization for warmth.
+// with a cache — a warm result carries different effort counters than a
+// cold one and must not masquerade as it — so sessions trade
+// memoization for warmth.
 type Session struct {
 	mu     sync.Mutex
 	solver Solver
@@ -304,11 +303,11 @@ func (s *Session) Solve(ctx context.Context, problem Problem, opts ...Option) (*
 }
 
 // Resolve re-solves a mutated problem warm: it computes the structural
-// Delta against the session's previous problem, injects the artifacts
-// that class keeps valid, and solves. The result is byte-identical to
-// a cold Solve of the same problem; r.Diff(session.Previous()) — taken
-// before Resolve updates the chain — or the convenience LastDiff gives
-// the device moves.
+// Delta against the session's previous problem, injects the saved basis
+// when that class keeps it valid, and solves. The result is
+// byte-identical to a cold Solve of the same problem;
+// r.Diff(session.Previous()) — taken before Resolve updates the chain —
+// or the convenience LastDiff gives the device moves.
 func (s *Session) Resolve(ctx context.Context, problem Problem, opts ...Option) (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -317,14 +316,8 @@ func (s *Session) Resolve(ctx context.Context, problem Problem, opts ...Option) 
 	}
 	delta := ComputeDelta(s.prevProblem, problem)
 	var warm *cover.Warm
-	switch delta.Class {
-	case DeltaUnchanged, DeltaRescale:
-		warm = &cover.Warm{Hint: s.prevHint(), Basis: s.coverBasis}
-	case DeltaTraffic:
-		warm = &cover.Warm{Hint: s.prevHint()}
-	}
-	if warm != nil && warm.Hint == nil && warm.Basis == nil {
-		warm = nil // nothing accumulated yet: plain cold solve
+	if (delta.Class == DeltaUnchanged || delta.Class == DeltaRescale) && s.coverBasis != nil {
+		warm = &cover.Warm{Basis: s.coverBasis}
 	}
 	return s.solveLocked(ctx, problem, warm, delta, opts)
 }
@@ -350,19 +343,6 @@ func (s *Session) Resolves() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.resolves
-}
-
-// prevHint extracts the previous tap placement as a cover hint (edge
-// IDs double as set indices in the Theorem 1 set-cover view).
-func (s *Session) prevHint() []int {
-	if s.prevResult == nil || s.prevResult.Taps == nil {
-		return nil
-	}
-	hint := make([]int, len(s.prevResult.Taps.Edges))
-	for i, e := range s.prevResult.Taps.Edges {
-		hint[i] = int(e)
-	}
-	return hint
 }
 
 func (s *Session) solveLocked(ctx context.Context, problem Problem, warm *cover.Warm, delta Delta, opts []Option) (*Result, error) {
@@ -392,7 +372,7 @@ func (s *Session) solveLocked(ctx context.Context, problem Problem, warm *cover.
 	}
 	if capture.Basis != nil {
 		s.coverBasis = capture.Basis
-	} else if warm == nil || warm.Basis == nil {
+	} else if warm == nil {
 		// Cold solve that never ran the LP: no basis to carry.
 		s.coverBasis = nil
 	}

@@ -165,7 +165,7 @@ func TestSessionResolveCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same rows, volumes scaled: a DeltaRescale mutation, so the warm
-	// resolve ships both the hint and the saved basis.
+	// resolve ships the saved basis.
 	mutated := *in
 	mutated.Traffics = append([]Traffic(nil), in.Traffics...)
 	for i := range mutated.Traffics {

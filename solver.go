@@ -122,9 +122,9 @@ type Options struct {
 	Fallback []string
 
 	// Session-injected warm artifacts (set only by Session, never by a
-	// public With* option): warmCover seeds the exact-cover search with
-	// the previous solve's cover and root LP basis, captureCover
-	// receives the artifacts of this solve for the next Resolve. The
+	// public With* option): warmCover seeds the exact-cover search's
+	// root LP with the previous solve's basis, captureCover receives
+	// this solve's basis for the next Resolve. The
 	// fields are unexported on purpose — the warm path is sound only
 	// under the Delta validity rules Session enforces, and batch caching
 	// keys must never see a warm solve as a cold one (batch.go bypasses
