@@ -141,7 +141,7 @@ func (r *Runner) SolveBatch(ctx context.Context, solver string, problems []Probl
 		if !timeBounded {
 			// Unknown problem kinds (custom solvers) have no canonical
 			// key; they bypass the cache rather than risk a false hit.
-			key, _ = engine.Key(solver, p, o.Coverage, o.Budget, o.Installed, o.Gap, o.Seed, o.MaxNodes)
+			key, _ = engine.Key(solver, p, o.Coverage, o.Budget, o.Installed, o.Gap, o.RelGap, o.Seed, o.MaxNodes)
 		}
 		if key == "" || r.eng.Cache() == nil {
 			res, err := solveWithFallback(ctx, s, p, opts)

@@ -119,6 +119,41 @@ func TestSolveBatchTimeBoundedBypassesCache(t *testing.T) {
 	}
 }
 
+// TestSolveBatchCacheKeyIncludesRelGap: the relative gap is part of
+// the cache key, so an exact request is never served an earlier gapped
+// answer. On this POP the gapped tap/ilp solve stops at 7 devices and
+// still reports Optimal, while the optimum is 6.
+func TestSolveBatchCacheKeyIncludesRelGap(t *testing.T) {
+	pop := GeneratePOP(POPConfig{Routers: 10, InterRouterLinks: 18, Endpoints: 10, Seed: 7})
+	in, err := RouteSingle(pop, GenerateDemands(pop, TrafficConfig{Seed: 7}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func(r *Runner, opts ...Option) *Result {
+		t.Helper()
+		res, err := r.SolveBatch(context.Background(), SolverTapILP, []Problem{in},
+			append([]Option{WithCoverage(0.95)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0]
+	}
+	r := NewRunner()
+	gapped := solve(r, WithRelGap(0.9))
+	exact := solve(r)
+	fresh := solve(NewRunner())
+	if fresh.Devices() >= gapped.Devices() {
+		t.Fatalf("instance no longer separates the gaps: gapped %d devices, exact %d", gapped.Devices(), fresh.Devices())
+	}
+	if exact.Devices() != fresh.Devices() || exact.Objective != fresh.Objective || !exact.Optimal {
+		t.Fatalf("exact request after a gapped one: %d devices (optimal %v), fresh exact solve %d",
+			exact.Devices(), exact.Optimal, fresh.Devices())
+	}
+	if hits, misses := r.CacheCounts(); hits != 0 || misses != 2 {
+		t.Fatalf("gapped and exact requests shared a cache entry: hits/misses = %d/%d", hits, misses)
+	}
+}
+
 func TestSolveBatchWithoutCache(t *testing.T) {
 	in := testInstance(t, 6)
 	r := NewRunner(WithoutCache(), WithWorkers(2))

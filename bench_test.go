@@ -169,9 +169,8 @@ func BenchmarkBudgetedPlacement(b *testing.B) {
 
 // fig7CoverMIP builds the partial-cover MIP of the Figure 7 instance:
 // binary x_e per edge, continuous coverage indicator δ_t per traffic,
-// and a k·total volume floor. Shared by the branching, pricing and
-// simplex-algorithm ablations.
-func fig7CoverMIP(in *Instance, opts mip.Options) *mip.Problem {
+// and a k·total volume floor.
+func fig7CoverMIP(in *Instance) *mip.Problem {
 	p := mip.NewProblem(lp.Minimize)
 	xs := make([]lp.Var, in.G.NumEdges())
 	for e := range xs {
@@ -190,46 +189,28 @@ func fig7CoverMIP(in *Instance, opts mip.Options) *mip.Problem {
 		cov = append(cov, lp.Term{Var: ds[ti], Coef: t.Volume})
 	}
 	p.AddConstraint(lp.GE, target, cov...)
-	p.SetOptions(opts)
 	return p
 }
 
-// BenchmarkAblationTree is the root-strengthening before/after: the
-// Figure 7 cover MIP solved on the plain tree, with presolve alone,
-// and with the full pipeline (presolve + cover/clique cuts +
-// reduced-cost fixing + pseudo-cost branching). Besides wall time it
-// reports explored nodes per solve, the tree-size trajectory the
-// pipeline exists to shrink. The beacon variant runs the same ablation
-// on a §6-style vertex-cover ILP (triangulated probe conflicts), where
-// root clique cuts close most of the integrality gap outright.
+// BenchmarkAblationTree times the branch-and-bound MIP (presolve +
+// cover/clique cuts + reduced-cost fixing + pseudo-cost branching) on
+// the Figure 7 cover MIP and on a §6-style vertex-cover ILP
+// (triangulated probe conflicts), where root clique cuts close most of
+// the integrality gap outright. Besides wall time it reports explored
+// nodes per solve, the tree size the pipeline exists to shrink.
 func BenchmarkAblationTree(b *testing.B) {
-	variants := []struct {
-		name string
-		opts mip.Options
-	}{
-		{"PlainTree", mip.Options{Tree: mip.AlgoPlainTree}},
-		{"Presolve", mip.Options{NoCuts: true, NoFixing: true, NoStrongBranch: true, Branching: mip.MostFractional}},
-		{"Full", mip.Options{}},
-	}
 	in := fig7Instance(3)
-	for _, v := range variants {
-		b.Run("Fig7MIP/"+v.name, func(b *testing.B) {
+	for _, v := range []struct {
+		name  string
+		build func() *mip.Problem
+	}{
+		{"Fig7MIP", func() *mip.Problem { return fig7CoverMIP(in) }},
+		{"BeaconILP", beaconStyleILP},
+	} {
+		b.Run(v.name, func(b *testing.B) {
 			nodes := 0
 			for i := 0; i < b.N; i++ {
-				s, err := fig7CoverMIP(in, v.opts).Solve()
-				if err != nil {
-					b.Fatal(err)
-				}
-				nodes += s.Nodes
-			}
-			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-		})
-	}
-	for _, v := range variants {
-		b.Run("BeaconILP/"+v.name, func(b *testing.B) {
-			nodes := 0
-			for i := 0; i < b.N; i++ {
-				s, err := beaconStyleILP(v.opts).Solve()
+				s, err := v.build().Solve()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -243,9 +224,9 @@ func BenchmarkAblationTree(b *testing.B) {
 // beaconStyleILP builds a §6-shaped vertex-cover ILP: probes between
 // node pairs of a triangulated random graph, each needing a beacon at
 // one extremity. The odd structure leaves the LP relaxation at 1/2
-// everywhere, so the plain tree branches heavily while clique cuts
-// close the gap at the root.
-func beaconStyleILP(opts mip.Options) *mip.Problem {
+// everywhere, so a plain tree branches heavily while clique cuts close
+// the gap at the root.
+func beaconStyleILP() *mip.Problem {
 	rng := rand.New(rand.NewSource(41))
 	p := mip.NewProblem(lp.Minimize)
 	n := 30
@@ -263,7 +244,6 @@ func beaconStyleILP(opts mip.Options) *mip.Problem {
 		p.AddConstraint(lp.GE, 1, lp.Term{Var: ys[bb], Coef: 1}, lp.Term{Var: ys[c], Coef: 1})
 		p.AddConstraint(lp.GE, 1, lp.Term{Var: ys[a], Coef: 1}, lp.Term{Var: ys[c], Coef: 1})
 	}
-	p.SetOptions(opts)
 	return p
 }
 
@@ -281,22 +261,17 @@ func fig8Instance(seed int64) *Instance {
 	return in
 }
 
-// BenchmarkAblationCoverTree gates each layer of the specialized cover
-// branch-and-bound on the Figure 8 hard point: the plain tree, then
-// kernelization presolve, the Lagrangian/LP dual bounds, the in-search
-// dominance reductions, and finally the deterministic parallel subtree
-// phase, cumulatively. Every variant runs under the same node budget,
-// so besides wall time the devices/op metric shows incumbent quality
-// per node spent — the dimension the reductions exist to improve — and
-// nodes/op shows how much of the budget each variant actually needed.
+// BenchmarkAblationCoverTree runs the specialized cover
+// branch-and-bound on the Figure 8 hard point serially and on the
+// deterministic parallel subtree phase. Both variants run under the
+// same node budget, so besides wall time the devices/op metric shows
+// incumbent quality per node spent and nodes/op shows how much of the
+// budget each variant actually needed.
 func BenchmarkAblationCoverTree(b *testing.B) {
 	variants := []struct {
 		name string
 		opts cover.ExactOptions
 	}{
-		{"PlainTree", cover.ExactOptions{NoPresolve: true, NoDualBound: true, NoDominance: true, Workers: 1}},
-		{"Presolve", cover.ExactOptions{NoDualBound: true, NoDominance: true, Workers: 1}},
-		{"PresolveDual", cover.ExactOptions{NoDominance: true, Workers: 1}},
 		{"FullSerial", cover.ExactOptions{Workers: 1}},
 		{"FullParallel", cover.ExactOptions{Workers: runtime.GOMAXPROCS(0)}},
 	}
@@ -317,61 +292,6 @@ func BenchmarkAblationCoverTree(b *testing.B) {
 			}
 			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 			b.ReportMetric(float64(devices)/float64(b.N), "devices/op")
-		})
-	}
-}
-
-// BenchmarkAblationBranching compares the two branch-and-bound
-// branching rules on the Figure 7 MIP.
-func BenchmarkAblationBranching(b *testing.B) {
-	for _, rule := range []struct {
-		name string
-		r    mip.BranchRule
-	}{{"MostFractional", mip.MostFractional}, {"FirstFractional", mip.FirstFractional}} {
-		b.Run(rule.name, func(b *testing.B) {
-			in := fig7Instance(3)
-			for i := 0; i < b.N; i++ {
-				if _, err := fig7CoverMIP(in, mip.Options{Branching: rule.r}).Solve(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPricing compares Dantzig and Devex pricing of the
-// sparse revised simplex on the Figure 7 MIP (DESIGN.md §6).
-func BenchmarkAblationPricing(b *testing.B) {
-	for _, pr := range []struct {
-		name string
-		p    lp.Pricing
-	}{{"Devex", lp.PricingDevex}, {"Dantzig", lp.PricingDantzig}} {
-		b.Run(pr.name, func(b *testing.B) {
-			in := fig7Instance(3)
-			for i := 0; i < b.N; i++ {
-				if _, err := fig7CoverMIP(in, mip.Options{Pricing: pr.p}).Solve(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSimplex compares the sparse revised simplex (with
-// node warm starts) against the retained dense tableau oracle on the
-// Figure 7 MIP — the tentpole's before/after on one instance.
-func BenchmarkAblationSimplex(b *testing.B) {
-	for _, algo := range []struct {
-		name string
-		a    lp.Algorithm
-	}{{"RevisedSparse", lp.AlgoRevisedSparse}, {"DenseTableau", lp.AlgoDenseTableau}} {
-		b.Run(algo.name, func(b *testing.B) {
-			in := fig7Instance(3)
-			for i := 0; i < b.N; i++ {
-				if _, err := fig7CoverMIP(in, mip.Options{Algorithm: algo.a}).Solve(); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

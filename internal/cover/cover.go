@@ -194,20 +194,6 @@ func Greedy(in Instance) Result {
 	return GreedyPartial(in, in.TotalWeight())
 }
 
-// GreedyBoundRatio returns the Slavík approximation guarantee
-// ln n − ln ln n + Θ(1) for instance size n (clamped below at 1), used
-// for reporting how far greedy can be from optimal.
-func GreedyBoundRatio(n int) float64 {
-	if n < 3 {
-		return 1
-	}
-	r := math.Log(float64(n)) - math.Log(math.Log(float64(n))) + 0.78
-	if r < 1 {
-		return 1
-	}
-	return r
-}
-
 // ExactOptions tunes the exact branch-and-bound.
 type ExactOptions struct {
 	// MaxNodes caps the search; 0 means 5,000,000. When exceeded the
@@ -219,16 +205,6 @@ type ExactOptions struct {
 	// phase; <= 1 runs the identical algorithm serially (the oracle:
 	// the returned cover is byte-identical for any worker count).
 	Workers int
-	// NoPresolve disables the kernelization presolve (signature
-	// merging, dominated sets/elements, forced unique coverers).
-	// Ablation and oracle-test knob; production leaves it false.
-	NoPresolve bool
-	// NoDualBound disables the per-node Lagrangian dual-ascent bound.
-	NoDualBound bool
-	// NoDominance disables the in-search exclude-branch dominance
-	// reductions (including the symmetry break on residual-identical
-	// sets).
-	NoDominance bool
 	// Warm carries artifacts from a previous solve of a related
 	// instance (nil = cold solve). The warm solve runs the cold control
 	// flow; the artifacts only seed the phase-2 root LP and are
@@ -312,13 +288,9 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 	}
 
 	fullCover := target >= in.TotalWeight()-1e-9
-	searchIn, searchTarget := in, target
-	if !opts.NoPresolve {
-		// Merge elements with identical covering sets (their coverage
-		// always moves together, so one weighted representative
-		// suffices at any k).
-		searchIn, searchTarget = mergeSignatures(in, target)
-	}
+	// Merge elements with identical covering sets (their coverage always
+	// moves together, so one weighted representative suffices at any k).
+	searchIn, searchTarget := mergeSignatures(in, target)
 
 	s := &exactSearch{
 		ctx:           ctx,
@@ -331,10 +303,7 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 	}
 	excluded := make([]bool, len(searchIn.Sets))
 	covered := newBitset(searchIn.NumElements)
-	var forced []int
-	if !opts.NoPresolve {
-		forced = s.presolve(excluded, covered, fullCover)
-	}
+	forced := s.presolve(excluded, covered, fullCover)
 	if fullCover {
 		s.prepareDisjointBound(excluded, covered)
 	}
@@ -346,10 +315,8 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 	}
 	s.rootExcluded, s.forced = excluded, forced
 	s.capture = opts.Capture
-	s.prepareGains(covered, excluded, !opts.NoDominance)
-	if !opts.NoDualBound {
-		s.prepareDualBound(excluded, covered, coveredW)
-	}
+	s.prepareGains(covered, excluded)
+	s.prepareDualBound(excluded, covered, coveredW)
 	// The reconstruction phase needs dual state that depends on the
 	// instance only; strengthenDualBound tightens (φ, λ) against the
 	// evolving incumbent, so the pre-search values are frozen here.
@@ -358,7 +325,7 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 	if opts.Warm != nil {
 		s.seedBasis = opts.Warm.Basis
 	}
-	s.runValuePhases(opts, workers, excluded, covered, coveredW, forced)
+	s.runValuePhases(opts.MaxNodes, workers, excluded, covered, coveredW, forced)
 	if s.capped || s.ctx.Err() != nil {
 		// Capped or canceled: the best incumbent with Exact=false, the
 		// historical behaviour, byte-identical to the pre-session solver
@@ -445,17 +412,17 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 // strengthening, frontier expansion, parallel subtrees. On return
 // either s.capped (budget/cancel) or optimality is proven with
 // s.bestLen the optimum.
-func (s *exactSearch) runValuePhases(opts ExactOptions, workers int, excluded []bool, covered bitset, coveredW float64, forced []int) {
+func (s *exactSearch) runValuePhases(maxNodes, workers int, excluded []bool, covered bitset, coveredW float64, forced []int) {
 	// Phase 1 — serial burn-in: the strengthened serial search with a
 	// fixed node budget. Most instances close here; the budget (not a
 	// wall clock) keeps the phase boundary deterministic.
 	burnIn := coverLPTrigger
-	if burnIn > opts.MaxNodes {
-		burnIn = opts.MaxNodes
+	if burnIn > maxNodes {
+		burnIn = maxNodes
 	}
 	s.maxN = burnIn
 	s.search(covered, coveredW, s.dualUncov0, forced)
-	if !s.capped || s.ctx.Err() != nil || burnIn >= opts.MaxNodes {
+	if !s.capped || s.ctx.Err() != nil || burnIn >= maxNodes {
 		// Closed, canceled, or the real node budget is exhausted.
 		return
 	}
@@ -486,7 +453,7 @@ func (s *exactSearch) runValuePhases(opts ExactOptions, workers int, excluded []
 			return // the incumbent meets the LP bound
 		}
 	}
-	if !opts.NoDualBound && s.lpDj == nil {
+	if s.lpDj == nil {
 		// Same decision point, for the instances the LP row cap turned
 		// away: a subgradient climb replaces the cheap alternation duals
 		// with a near-LP-strength frozen (φ, λ) pair. When the LP DID
@@ -503,7 +470,7 @@ func (s *exactSearch) runValuePhases(opts ExactOptions, workers int, excluded []
 	// depends only on deterministic state (never on worker count), and
 	// a second, deeper pass splits further when the first one yields
 	// too few tasks to balance.
-	s.maxN = opts.MaxNodes
+	s.maxN = maxNodes
 	for _, d := range []int{frontierDepth, frontierDepth + 4} {
 		s.tasks, s.frontierDepth, s.depth = nil, d, 0
 		s.search(covered, coveredW, s.dualUncov0, forced)
@@ -518,7 +485,7 @@ func (s *exactSearch) runValuePhases(opts ExactOptions, workers int, excluded []
 	}
 
 	// Phase 4 — parallel subtree search with deterministic merge.
-	s.runSubtrees(workers, opts.MaxNodes)
+	s.runSubtrees(workers, maxNodes)
 }
 
 // lpRowsOK reports whether the instance is small enough for a cold root
@@ -777,7 +744,7 @@ type exactSearch struct {
 	dualUncov0 float64
 
 	// In-search dominance state: setMasks[si] is set si's positive-
-	// weight element bitmap (nil = dominance off or set root-excluded).
+	// weight element bitmap (nil for root-excluded sets).
 	setMasks []bitset
 
 	// Frontier expansion state: with frontierDepth >= 0 the search
@@ -829,33 +796,28 @@ type exactSearch struct {
 	scratch  []float64 // lower-bound selection buffer
 }
 
-// prepareGains builds the per-element coverer lists and the initial
+// prepareGains builds the per-element coverer lists, the initial
 // residual gains (everything after the root reductions and forced
-// inclusions). With masks it also builds the per-set positive-weight
-// element bitmaps the in-search dominance rule tests containment on.
-func (s *exactSearch) prepareGains(covered bitset, excluded []bool, masks bool) {
+// inclusions), and the per-set positive-weight element bitmaps the
+// in-search dominance rule tests containment on.
+func (s *exactSearch) prepareGains(covered bitset, excluded []bool) {
 	n := s.in.NumElements
 	s.elemSets = make([][]int32, n)
 	s.gains = make([]float64, len(s.in.Sets))
-	if masks {
-		s.setMasks = make([]bitset, len(s.in.Sets))
-	}
+	s.setMasks = make([]bitset, len(s.in.Sets))
 	for si, set := range s.in.Sets {
 		if excluded[si] {
 			continue
 		}
-		var m bitset
-		if masks {
-			m = newBitset(n)
-			s.setMasks[si] = m
-		}
+		m := newBitset(n)
+		s.setMasks[si] = m
 		g := 0.0
 		for _, e := range set {
 			s.elemSets[e] = append(s.elemSets[e], int32(si))
 			if !covered.get(e) {
 				g += s.in.weight(e)
 			}
-			if m != nil && s.in.weight(e) > 0 {
+			if s.in.weight(e) > 0 {
 				m.set(e)
 			}
 		}
@@ -1154,7 +1116,10 @@ func (s *exactSearch) boundAndBranch(remaining float64, maxUseful int) (int, int
 	switch {
 	case remaining <= s.tol:
 		return 0, branch
-	case remaining <= g1:
+	case remaining <= g1+s.tol:
+		// Within the acceptance tolerance one set suffices: a last set
+		// whose gain falls short of the remaining target by float drift
+		// alone still completes the cover.
 		return 1, branch
 	case sum < remaining-s.tol:
 		// Tolerance matches the incumbent acceptance test: a node whose
@@ -1162,13 +1127,14 @@ func (s *exactSearch) boundAndBranch(remaining float64, maxUseful int) (int, int
 		// still completable, not infeasible.
 		return math.MaxInt32, branch
 	case maxUseful <= 2:
-		// Two sets never suffice here (remaining > g1 rules out one,
-		// and the caller prunes at maxUseful anyway).
+		// At least two sets are needed (remaining > g1+tol rules out
+		// one), and the caller prunes at maxUseful anyway.
 		return 2, branch
 	}
-	if cheap := int(math.Ceil(remaining/g1 - 1e-12)); cheap >= maxUseful {
+	if cheap := int(math.Ceil((remaining-s.tol)/g1 - 1e-12)); cheap >= maxUseful {
 		// O(1) ceiling bound: every gain is at most g1, so at least
-		// remaining/g1 more sets are needed — already enough to prune.
+		// (remaining−tol)/g1 more sets are needed — already enough to
+		// prune.
 		return maxUseful, branch
 	}
 	need := 0
@@ -1291,9 +1257,7 @@ func (s *exactSearch) search(covered bitset, coveredW, dualUncov float64, chosen
 	s.undoT = append(s.undoT, int32(branch))
 	s.undoG = append(s.undoG, s.gains[branch])
 	s.gains[branch] = 0
-	if s.setMasks != nil {
-		s.excludeDominatedBy(branch, covered)
-	}
+	s.excludeDominatedBy(branch, covered)
 	s.depth++
 	s.search(covered, coveredW, dualUncov, chosen)
 	s.depth--

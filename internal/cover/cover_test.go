@@ -3,6 +3,7 @@ package cover
 import (
 	"context"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -159,12 +160,26 @@ func TestTotalWeight(t *testing.T) {
 	}
 }
 
+// greedyBoundRatio returns the Slavík approximation guarantee
+// ln n − ln ln n + Θ(1) for instance size n (clamped below at 1): how
+// far the greedy can be from optimal.
+func greedyBoundRatio(n int) float64 {
+	if n < 3 {
+		return 1
+	}
+	r := math.Log(float64(n)) - math.Log(math.Log(float64(n))) + 0.78
+	if r < 1 {
+		return 1
+	}
+	return r
+}
+
 func TestGreedyBoundRatio(t *testing.T) {
-	if GreedyBoundRatio(1) != 1 || GreedyBoundRatio(2) != 1 {
+	if greedyBoundRatio(1) != 1 || greedyBoundRatio(2) != 1 {
 		t.Fatal("tiny instances must have ratio 1")
 	}
-	r100 := GreedyBoundRatio(100)
-	r1000 := GreedyBoundRatio(1000)
+	r100 := greedyBoundRatio(100)
+	r1000 := greedyBoundRatio(1000)
 	if r100 <= 1 || r1000 <= r100 {
 		t.Fatalf("ratio not growing: %g, %g", r100, r1000)
 	}
@@ -200,36 +215,59 @@ func randomInstance(rng *rand.Rand, nElem, nSets int) Instance {
 	return in
 }
 
-// bruteForce finds the true optimal partial cover by enumerating all
-// subsets (small instances only).
+// bruteForce returns the fewest sets whose union reaches target, or -1
+// when even all of them fall short. It shares nothing with the search:
+// elements are uint64 masks (at most 64 elements), subset sizes are
+// tried in increasing order so the first size with a feasible subset is
+// optimal, and within a size a prefix is abandoned once the sets after
+// it cannot lift the union to target.
 func bruteForce(in Instance, target float64) int {
+	if in.NumElements > 64 {
+		panic("bruteForce: more than 64 elements")
+	}
 	n := len(in.Sets)
-	best := math.MaxInt32
-	for mask := 0; mask < 1<<n; mask++ {
-		cnt := 0
-		covered := make([]bool, in.NumElements)
-		for s := 0; s < n; s++ {
-			if mask&(1<<s) != 0 {
-				cnt++
-				for _, e := range in.Sets[s] {
-					covered[e] = true
-				}
-			}
-		}
-		if cnt >= best {
-			continue
-		}
-		w := 0.0
-		for e, c := range covered {
-			if c {
-				w += in.weight(e)
-			}
-		}
-		if w >= target-1e-12 {
-			best = cnt
+	masks := make([]uint64, n)
+	for si, set := range in.Sets {
+		for _, e := range set {
+			masks[si] |= 1 << uint(e)
 		}
 	}
-	return best
+	suffix := make([]uint64, n+1) // suffix[i] = union of masks[i:]
+	for i := n - 1; i >= 0; i-- {
+		suffix[i] = suffix[i+1] | masks[i]
+	}
+	reaches := func(m uint64) bool {
+		w := 0.0
+		for ; m != 0; m &= m - 1 {
+			w += in.weight(bits.TrailingZeros64(m))
+		}
+		return w >= target-1e-12
+	}
+	if !reaches(suffix[0]) {
+		return -1
+	}
+	// pick reports whether left more sets, taken from index from on,
+	// extend union to the target.
+	var pick func(from, left int, union uint64) bool
+	pick = func(from, left int, union uint64) bool {
+		if left == 0 {
+			return reaches(union)
+		}
+		for i := from; i+left <= n; i++ {
+			if !reaches(union | suffix[i]) {
+				return false
+			}
+			if pick(i+1, left-1, union|masks[i]) {
+				return true
+			}
+		}
+		return false
+	}
+	for size := 0; ; size++ {
+		if pick(0, size, 0) {
+			return size
+		}
+	}
 }
 
 // Property: the exact branch-and-bound matches brute force on random
@@ -280,7 +318,7 @@ func TestGreedyWithinBoundOfExact(t *testing.T) {
 			t.Logf("seed %d: greedy %d beats exact %d", seed, len(g.Chosen), len(ex.Chosen))
 			return false
 		}
-		ratio := GreedyBoundRatio(in.NumElements) + 1 // partial cover pays +1 (Slavík)
+		ratio := greedyBoundRatio(in.NumElements) + 1 // partial cover pays +1 (Slavík)
 		if float64(len(g.Chosen)) > ratio*float64(len(ex.Chosen))+1e-9 {
 			t.Logf("seed %d: greedy %d > %g × exact %d", seed, len(g.Chosen), ratio, len(ex.Chosen))
 			return false

@@ -1,6 +1,7 @@
 // Package flow implements directed flow networks with real-valued
-// capacities and costs: Dinic max-flow and successive-shortest-path
-// min-cost flow with node potentials.
+// capacities and costs: successive-shortest-path min-cost flow with
+// node potentials. Asked for more than the network can carry, it routes
+// a maximum flow.
 //
 // The paper reduces Partial Passive Monitoring to Minimum Edge Cost Flow
 // (§4.3, Theorem 2) and observes that the greedy heuristics correspond to
@@ -30,7 +31,6 @@ type Network struct {
 	head [][]int // head[v] = indices into to/cap/cost of arcs leaving v
 	cap  []float64
 	cost []float64
-	orig []float64 // original capacity of forward arcs (by arc pair)
 }
 
 // Arc identifies an arc added with AddArc.
@@ -62,90 +62,20 @@ func (f *Network) AddArc(u, v int, capacity, cost float64) Arc {
 	f.cost = append(f.cost, cost, -cost)
 	f.head[u] = append(f.head[u], id)
 	f.head[v] = append(f.head[v], id+1)
-	f.orig = append(f.orig, capacity)
 	return Arc(id / 2)
 }
 
-// Flow returns the flow currently carried by arc a (after a MaxFlow or
-// MinCostFlow run).
+// Flow returns the flow currently carried by arc a (after a MinCostFlow
+// run).
 func (f *Network) Flow(a Arc) float64 {
 	i := int(a) * 2
 	return f.cap[i+1] // reverse residual = pushed flow
-}
-
-// Reset zeroes all flow, restoring original capacities.
-func (f *Network) Reset() {
-	for i := range f.orig {
-		f.cap[2*i] = f.orig[i]
-		f.cap[2*i+1] = 0
-	}
-}
-
-// MaxFlow runs Dinic's algorithm and returns the maximum s→t flow value.
-// Arc flows are available through Flow afterwards.
-func (f *Network) MaxFlow(s, t int) float64 {
-	f.checkST(s, t)
-	total := 0.0
-	level := make([]int, f.n)
-	iter := make([]int, f.n)
-	for f.bfsLevel(s, t, level) {
-		for i := range iter {
-			iter[i] = 0
-		}
-		for {
-			pushed := f.dfsAugment(s, t, math.Inf(1), level, iter)
-			if pushed <= eps {
-				break
-			}
-			total += pushed
-		}
-	}
-	return total
 }
 
 func (f *Network) checkST(s, t int) {
 	if s < 0 || s >= f.n || t < 0 || t >= f.n || s == t {
 		panic(fmt.Sprintf("flow: bad source/sink %d,%d", s, t))
 	}
-}
-
-func (f *Network) bfsLevel(s, t int, level []int) bool {
-	for i := range level {
-		level[i] = -1
-	}
-	level[s] = 0
-	queue := []int{s}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, id := range f.head[v] {
-			if f.cap[id] > eps && level[f.to[id]] < 0 {
-				level[f.to[id]] = level[v] + 1
-				queue = append(queue, f.to[id])
-			}
-		}
-	}
-	return level[t] >= 0
-}
-
-func (f *Network) dfsAugment(v, t int, limit float64, level, iter []int) float64 {
-	if v == t {
-		return limit
-	}
-	for ; iter[v] < len(f.head[v]); iter[v]++ {
-		id := f.head[v][iter[v]]
-		w := f.to[id]
-		if f.cap[id] <= eps || level[w] != level[v]+1 {
-			continue
-		}
-		pushed := f.dfsAugment(w, t, math.Min(limit, f.cap[id]), level, iter)
-		if pushed > eps {
-			f.cap[id] -= pushed
-			f.cap[id^1] += pushed
-			return pushed
-		}
-	}
-	return 0
 }
 
 // MinCostResult reports the outcome of MinCostFlow.
@@ -165,7 +95,8 @@ type MinCostResult struct {
 // cycle is reachable). Per-arc flows are available via Flow afterwards.
 //
 // If the network cannot carry the full amount, it routes as much as a
-// max-flow allows and reports Full=false.
+// max-flow allows and reports Full=false; an amount of math.Inf(1)
+// therefore computes a maximum flow of minimum cost.
 func (f *Network) MinCostFlow(s, t int, amount float64) MinCostResult {
 	f.checkST(s, t)
 	if amount < 0 {

@@ -11,6 +11,17 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// maxFlow routes as much flow from s to t as the network carries: an
+// unbounded MinCostFlow request can never be met in full.
+func maxFlow(t *testing.T, f *Network, s, sink int) float64 {
+	t.Helper()
+	res := f.MinCostFlow(s, sink, math.Inf(1))
+	if res.Full {
+		t.Fatalf("unbounded request reported full: %+v", res)
+	}
+	return res.Sent
+}
+
 func TestMaxFlowClassic(t *testing.T) {
 	// CLRS-style example with known max flow 23.
 	f := NewNetwork(6)
@@ -25,7 +36,7 @@ func TestMaxFlowClassic(t *testing.T) {
 	f.AddArc(v4, v3, 7, 0)
 	f.AddArc(v3, tt, 20, 0)
 	f.AddArc(v4, tt, 4, 0)
-	if got := f.MaxFlow(s, tt); !almostEq(got, 23, 1e-9) {
+	if got := maxFlow(t, f, s, tt); !almostEq(got, 23, 1e-9) {
 		t.Fatalf("max flow = %g, want 23", got)
 	}
 }
@@ -33,7 +44,7 @@ func TestMaxFlowClassic(t *testing.T) {
 func TestMaxFlowDisconnected(t *testing.T) {
 	f := NewNetwork(3)
 	f.AddArc(0, 1, 5, 0)
-	if got := f.MaxFlow(0, 2); got != 0 {
+	if got := maxFlow(t, f, 0, 2); got != 0 {
 		t.Fatalf("max flow = %g, want 0", got)
 	}
 }
@@ -42,7 +53,7 @@ func TestMaxFlowParallelArcs(t *testing.T) {
 	f := NewNetwork(2)
 	f.AddArc(0, 1, 3, 0)
 	f.AddArc(0, 1, 4, 0)
-	if got := f.MaxFlow(0, 1); !almostEq(got, 7, 1e-9) {
+	if got := maxFlow(t, f, 0, 1); !almostEq(got, 7, 1e-9) {
 		t.Fatalf("max flow = %g, want 7", got)
 	}
 }
@@ -114,23 +125,6 @@ func TestMinCostPrefersCheapRoute(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	f := NewNetwork(2)
-	a := f.AddArc(0, 1, 5, 1)
-	f.MinCostFlow(0, 1, 5)
-	if !almostEq(f.Flow(a), 5, 1e-9) {
-		t.Fatalf("flow=%g, want 5", f.Flow(a))
-	}
-	f.Reset()
-	if f.Flow(a) != 0 {
-		t.Fatalf("after Reset flow=%g, want 0", f.Flow(a))
-	}
-	res := f.MinCostFlow(0, 1, 3)
-	if !almostEq(res.Sent, 3, 1e-9) {
-		t.Fatalf("re-run sent=%g, want 3", res.Sent)
-	}
-}
-
 func TestNegativeCostArc(t *testing.T) {
 	// Bellman–Ford initialization must handle negative costs.
 	f := NewNetwork(3)
@@ -148,9 +142,9 @@ func TestPanics(t *testing.T) {
 		"zero nodes":    func() { NewNetwork(0) },
 		"bad arc":       func() { NewNetwork(2).AddArc(0, 5, 1, 0) },
 		"neg capacity":  func() { NewNetwork(2).AddArc(0, 1, -1, 0) },
-		"same st":       func() { NewNetwork(2).MaxFlow(1, 1) },
+		"same st":       func() { NewNetwork(2).MinCostFlow(1, 1, 1) },
 		"neg amount":    func() { n := NewNetwork(2); n.AddArc(0, 1, 1, 0); n.MinCostFlow(0, 1, -2) },
-		"st out of rng": func() { NewNetwork(2).MaxFlow(0, 7) },
+		"st out of rng": func() { NewNetwork(2).MinCostFlow(0, 7, 1) },
 	} {
 		func() {
 			defer func() {
@@ -228,7 +222,7 @@ func TestMinCostFlowMatchesLP(t *testing.T) {
 		for _, a := range arcs {
 			probe.AddArc(int(a[0]), int(a[1]), a[2], a[3])
 		}
-		mf := probe.MaxFlow(s, tt)
+		mf := probe.MinCostFlow(s, tt, math.Inf(1)).Sent
 		if mf < 1 {
 			return true
 		}
@@ -257,11 +251,13 @@ func TestMinCostFlowMatchesLP(t *testing.T) {
 	}
 }
 
-// Property: MaxFlow equals the LP max-flow value.
+// Property: an unbounded MinCostFlow request routes the LP max-flow
+// value.
 func TestMaxFlowMatchesLP(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(5)
+		s, tt := 0, n-1
 		net := NewNetwork(n)
 		p := lp.NewProblem(lp.Maximize)
 		type arc struct {
@@ -276,13 +272,20 @@ func TestMaxFlowMatchesLP(t *testing.T) {
 			}
 			c := float64(1 + rng.Intn(9))
 			net.AddArc(u, v, c, 0)
-			arcs = append(arcs, arc{u, v, p.AddVariable("f", 0, c, 0)})
+			// Objective = net outflow of s.
+			coef := 0.0
+			if u == s {
+				coef = 1
+			}
+			if v == s {
+				coef = -1
+			}
+			arcs = append(arcs, arc{u, v, p.AddVariable("f", 0, c, coef)})
 		}
 		if len(arcs) == 0 {
 			return true
 		}
-		s, tt := 0, n-1
-		// Conservation at internal nodes; objective = net outflow of s.
+		// Conservation at internal nodes.
 		for v := 0; v < n; v++ {
 			if v == s || v == tt {
 				continue
@@ -300,26 +303,14 @@ func TestMaxFlowMatchesLP(t *testing.T) {
 				p.AddConstraint(lp.EQ, 0, terms...)
 			}
 		}
-		for _, a := range arcs {
-			coef := 0.0
-			if a.u == s {
-				coef += 1
-			}
-			if a.v == s {
-				coef -= 1
-			}
-			if coef != 0 {
-				p.SetCost(a.x, coef)
-			}
-		}
 		sol, err := p.Solve()
 		if err != nil || sol.Status != lp.Optimal {
 			t.Logf("seed %d: LP failed: %v", seed, err)
 			return false
 		}
-		got := net.MaxFlow(s, tt)
+		got := maxFlow(t, net, s, tt)
 		if !almostEq(got, sol.Objective, 1e-5*(1+sol.Objective)) {
-			t.Logf("seed %d: dinic=%g lp=%g", seed, got, sol.Objective)
+			t.Logf("seed %d: flow=%g lp=%g", seed, got, sol.Objective)
 			return false
 		}
 		return true

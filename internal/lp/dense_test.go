@@ -1,21 +1,32 @@
 package lp
 
-import (
-	"context"
-	"math"
-)
+import "math"
 
-// Numerical tolerances live in tol.go, shared with the sparse revised
-// simplex so the two implementations cannot drift apart.
+// This file holds the reference implementation the revised simplex is
+// tested against: a dense two-phase tableau simplex with Dantzig
+// pricing and the same Bland anti-cycling fallback. It shares the
+// Problem type, the tolerances of tol.go and the column statuses with
+// the production solver, and nothing else.
 
-// column status in the tableau
-type colStatus int8
-
-const (
-	atLower colStatus = iota
-	atUpper
-	basic
-)
+// solveDense solves p with the dense tableau simplex. Iterations is the
+// only counter it fills; it never warm-starts and never extracts duals.
+func solveDense(p *Problem) *Solution {
+	t := newTableau(p)
+	st := t.phase1()
+	if st == Infeasible || st == IterLimit {
+		return &Solution{Status: st, Iterations: t.iters}
+	}
+	st = t.phase2()
+	if st != Optimal {
+		return &Solution{Status: st, Iterations: t.iters}
+	}
+	x := t.extract()
+	obj := 0.0
+	for j, c := range p.cost {
+		obj += c * x[j]
+	}
+	return &Solution{Status: Optimal, Objective: obj, X: x, Iterations: t.iters}
+}
 
 // tableau is the working state of the bounded-variable primal simplex.
 // It maintains the dense current tableau T = B⁻¹A and the basic variable
@@ -38,7 +49,6 @@ type tableau struct {
 
 	iters   int
 	maxIter int
-	ctx     context.Context // nil means never canceled
 
 	// bland activates Bland's anti-cycling rule after a run of
 	// degenerate pivots.
@@ -152,7 +162,7 @@ func (tb *tableau) phase1() Status {
 		c[j] = 1
 	}
 	st := tb.optimize(c)
-	if st == IterLimit || st == Canceled {
+	if st == IterLimit {
 		return st
 	}
 	// Phase-1 objective = sum of artificial values.
@@ -221,11 +231,6 @@ func (tb *tableau) optimize(c []float64) Status {
 	for {
 		if tb.iters >= tb.maxIter {
 			return IterLimit
-		}
-		// Poll the context every 64 pivots: cheap against the O(m·n)
-		// pricing work of each iteration, responsive enough for deadlines.
-		if tb.iters&63 == 0 && tb.ctx != nil && tb.ctx.Err() != nil {
-			return Canceled
 		}
 		tb.iters++
 

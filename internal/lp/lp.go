@@ -1,14 +1,13 @@
-// Package lp implements a self-contained linear-programming solver. The
-// default algorithm is a sparse revised simplex: the constraint matrix is
-// stored column-major in compressed sparse form, the basis inverse is
-// maintained as a sparse LU factorization (triangular peeling plus a
-// dense bump, see lu.go) with a product-form eta file (periodically
-// refactorized), pricing is Devex with a Bland anti-cycling fallback,
-// and warm starts from a saved Basis restore feasibility with a bounded
-// dual simplex. Optimal solves can expose row duals and reduced costs
-// (SetExtractDuals) for the MIP layer's reduced-cost fixing. A dense
-// two-phase tableau simplex is retained as the reference oracle
-// (AlgoDenseTableau) for property tests and ablations.
+// Package lp implements a self-contained linear-programming solver: a
+// sparse revised simplex. The constraint matrix is stored column-major
+// in compressed sparse form, the basis inverse is maintained as a sparse
+// LU factorization (triangular peeling plus a dense bump, see lu.go)
+// with a product-form eta file (periodically refactorized), pricing is
+// Devex with a Bland anti-cycling fallback, and warm starts from a saved
+// Basis restore feasibility with a bounded dual simplex. Optimal solves
+// can expose row duals and reduced costs (SetExtractDuals) for the MIP
+// layer's reduced-cost fixing. The tests check it against a dense
+// two-phase tableau simplex kept in dense_test.go.
 //
 // The paper solves its placement formulations with CPLEX; this package is
 // the from-scratch substitute (see DESIGN.md §4). Every solve is
@@ -91,29 +90,6 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
-// Algorithm selects the simplex implementation.
-type Algorithm int
-
-const (
-	// AlgoRevisedSparse is the sparse revised simplex (default).
-	AlgoRevisedSparse Algorithm = iota
-	// AlgoDenseTableau is the dense tableau simplex, retained as the
-	// test oracle and ablation baseline.
-	AlgoDenseTableau
-)
-
-// Pricing selects the entering-variable rule of the revised simplex.
-// The dense tableau always prices with Dantzig's rule.
-type Pricing int
-
-const (
-	// PricingDevex is approximate steepest-edge pricing (default).
-	PricingDevex Pricing = iota
-	// PricingDantzig is most-negative-reduced-cost pricing, retained
-	// for the ablation study.
-	PricingDantzig
-)
-
 // Var identifies a decision variable within a Problem.
 type Var int
 
@@ -135,8 +111,6 @@ type Problem struct {
 	upper        []float64
 	cost         []float64
 	rows         []row
-	algo         Algorithm
-	pricing      Pricing
 	extractDuals bool
 }
 
@@ -150,14 +124,6 @@ type row struct {
 func NewProblem(sense Sense) *Problem {
 	return &Problem{sense: sense}
 }
-
-// SetAlgorithm selects the simplex implementation (default
-// AlgoRevisedSparse).
-func (p *Problem) SetAlgorithm(a Algorithm) { p.algo = a }
-
-// SetPricing selects the revised simplex pricing rule (default
-// PricingDevex).
-func (p *Problem) SetPricing(pr Pricing) { p.pricing = pr }
 
 // AddVariable adds a decision variable with bounds [lower, upper] and the
 // given objective coefficient, returning its handle. lower must be finite
@@ -198,9 +164,6 @@ func (p *Problem) SetBounds(v Var, lower, upper float64) {
 	p.upper[v] = upper
 }
 
-// SetCost replaces the objective coefficient of v.
-func (p *Problem) SetCost(v Var, cost float64) { p.cost[v] = cost }
-
 // Cost returns the objective coefficient of v.
 func (p *Problem) Cost(v Var) float64 { return p.cost[v] }
 
@@ -229,9 +192,9 @@ func (p *Problem) TruncateConstraints(n int) {
 
 // SetExtractDuals toggles extraction of row duals and structural
 // reduced costs into Solution.Duals / Solution.ReducedCosts on optimal
-// revised-simplex solves. It is off by default: the branch-and-bound
-// MIP only needs them at the root, and extraction costs one extra
-// BTRAN plus a pass over the matrix per solve.
+// solves. It is off by default: the branch-and-bound MIP only needs
+// them at the root, and extraction costs one extra BTRAN plus a pass
+// over the matrix per solve.
 func (p *Problem) SetExtractDuals(on bool) { p.extractDuals = on }
 
 // AddConstraint adds the linear constraint Σ terms rel rhs. Terms
@@ -257,11 +220,9 @@ type Solution struct {
 	// Iterations is the total simplex iterations over both phases
 	// (primal and, on warm starts, dual).
 	Iterations int
-	// Refactorizations counts basis LU refactorizations of the revised
-	// simplex (0 on the dense path).
+	// Refactorizations counts basis LU refactorizations.
 	Refactorizations int
-	// DevexResets counts Devex reference-framework resets (0 on the
-	// dense path or under Dantzig pricing).
+	// DevexResets counts Devex reference-framework resets.
 	DevexResets int
 	// Warm reports that the solve completed on the warm-started path
 	// (dual-simplex restoration from a seeded basis, no phase 1).
@@ -270,8 +231,7 @@ type Solution struct {
 	// ReducedCosts one reduced cost per structural variable, both in the
 	// problem's own sense (for Maximize they are the negated
 	// minimization-form values). They are filled only on Optimal solves
-	// of the revised simplex with SetExtractDuals(true); the dense
-	// oracle never extracts them. The branch-and-bound MIP reads them at
+	// with SetExtractDuals(true). The branch-and-bound MIP reads them at
 	// the root for reduced-cost variable fixing.
 	Duals        []float64
 	ReducedCosts []float64
@@ -283,9 +243,9 @@ type Solution struct {
 func (s *Solution) Value(v Var) float64 { return s.X[v] }
 
 // Basis returns a snapshot of the optimal basis, or nil when the solve
-// did not end Optimal on the revised simplex. The snapshot can seed a
-// later solve of the same problem shape via SolveContextFrom — the
-// branch-and-bound MIP warm-starts child nodes this way.
+// did not end Optimal. The snapshot can seed a later solve of the same
+// problem shape via SolveContextFrom — the branch-and-bound MIP
+// warm-starts child nodes this way.
 func (s *Solution) Basis() *Basis { return s.basis }
 
 // Basis is an opaque snapshot of a simplex basis: which standard-form
@@ -356,14 +316,10 @@ func (p *Problem) SolveContext(ctx context.Context) (*Solution, error) {
 // (the seed is dual feasible when it comes from an optimal solve of the
 // same problem with different bounds, the branch-and-bound case) and the
 // solve falls back to a cold start whenever the warm path runs into
-// numerical trouble. The dense tableau has no warm start; it ignores
-// basis.
+// numerical trouble.
 func (p *Problem) SolveContextFrom(ctx context.Context, basis *Basis) (*Solution, error) {
 	if len(p.names) == 0 {
 		return nil, ErrNoVariables
-	}
-	if p.algo == AlgoDenseTableau {
-		return p.solveDense(ctx), nil
 	}
 	var spentIters, spentFactors, spentResets int
 	if basis != nil {
@@ -394,28 +350,4 @@ func (p *Problem) SolveContextFrom(ctx context.Context, basis *Basis) (*Solution
 	sol.Refactorizations += spentFactors
 	sol.DevexResets += spentResets
 	return sol, nil
-}
-
-// solveDense runs the retained dense tableau simplex (the oracle).
-func (p *Problem) solveDense(ctx context.Context) *Solution {
-	t := newTableau(p)
-	t.ctx = ctx
-	st := t.phase1()
-	if st == Infeasible {
-		return &Solution{Status: Infeasible, Iterations: t.iters}
-	}
-	if st == IterLimit || st == Canceled {
-		return &Solution{Status: st, Iterations: t.iters}
-	}
-	st = t.phase2()
-	switch st {
-	case Unbounded, IterLimit, Canceled:
-		return &Solution{Status: st, Iterations: t.iters}
-	}
-	x := t.extract()
-	obj := 0.0
-	for j, c := range p.cost {
-		obj += c * x[j]
-	}
-	return &Solution{Status: Optimal, Objective: obj, X: x, Iterations: t.iters}
 }

@@ -198,7 +198,7 @@ func TestRedundantEqualityRows(t *testing.T) {
 
 func TestVarAccessors(t *testing.T) {
 	p := NewProblem(Minimize)
-	x := p.AddVariable("flow", 1, 7, 3)
+	x := p.AddVariable("flow", 1, 7, -2)
 	if p.VarName(x) != "flow" {
 		t.Fatalf("name=%q", p.VarName(x))
 	}
@@ -206,7 +206,6 @@ func TestVarAccessors(t *testing.T) {
 	if lo != 1 || hi != 7 {
 		t.Fatalf("bounds=[%g,%g]", lo, hi)
 	}
-	p.SetCost(x, -2)
 	s := solveOrDie(t, p)
 	if !almostEq(s.Value(x), 7, 1e-9) {
 		t.Fatalf("x=%g, want upper bound 7", s.Value(x))

@@ -8,15 +8,24 @@ import (
 // This file implements the sparse revised simplex: the constraint matrix
 // is stored column-major in compressed sparse form, the basis inverse is
 // an LU factorization refreshed periodically plus a product-form eta
-// file, pricing is Devex (approximate steepest edge) with the same Bland
-// anti-cycling fallback as the dense tableau, and FTRAN/BTRAN replace
-// the dense per-pivot tableau update. warm.go adds the bounded dual
-// simplex that restores primal feasibility when a solve is warm-started
-// from a saved Basis (the branch-and-bound case, where only one
-// variable's bounds moved between solves).
+// file, pricing is Devex (approximate steepest edge) with a Bland
+// anti-cycling fallback after a run of degenerate pivots, and
+// FTRAN/BTRAN replace a dense per-pivot tableau update. warm.go adds
+// the bounded dual simplex that restores primal feasibility when a
+// solve is warm-started from a saved Basis (the branch-and-bound case,
+// where only one variable's bounds moved between solves).
 
 // maxEtas is the eta-file length that triggers a refactorization.
 const maxEtas = 100
+
+// colStatus is the bound status of a standard-form column.
+type colStatus int8
+
+const (
+	atLower colStatus = iota
+	atUpper
+	basic
+)
 
 // csc is a compressed sparse column matrix.
 type csc struct {
@@ -66,9 +75,8 @@ type revised struct {
 	factors int // Refactorizations counter
 
 	// Devex reference-framework weights.
-	pricing Pricing
-	weight  []float64
-	resets  int // DevexResets counter
+	weight []float64
+	resets int // DevexResets counter
 
 	// Reduced costs, maintained incrementally between refactorizations
 	// and recomputed from scratch whenever djOK is false.
@@ -89,11 +97,11 @@ type revised struct {
 	sArj   []float64 // pivot row over nonbasic columns, length n
 }
 
-// newRevised converts a Problem into the same standard form the dense
-// tableau uses: min c·x s.t. Ax = b, l ≤ x ≤ u, slacks for inequality
-// rows, one artificial per row. The artificial's coefficient is ±1,
-// chosen so its initial value (the row residual with every other column
-// at its bound) is nonnegative.
+// newRevised converts a Problem into simplex standard form: min c·x
+// s.t. Ax = b, l ≤ x ≤ u, slacks for inequality rows, one artificial
+// per row. The artificial's coefficient is ±1, chosen so its initial
+// value (the row residual with every other column at its bound) is
+// nonnegative.
 func newRevised(p *Problem) *revised {
 	m := len(p.rows)
 	nStruct := len(p.names)
@@ -120,7 +128,6 @@ func newRevised(p *Problem) *revised {
 		dj:         make([]float64, n),
 		maxIter:    200*(m+n) + 5000,
 		blandLimit: 60,
-		pricing:    p.pricing,
 		sAlpha:     make([]float64, m),
 		sRho:       make([]float64, m),
 		sWork:      make([]float64, m),
@@ -331,8 +338,10 @@ func (rv *revised) resetDevex() {
 }
 
 // chooseEntering returns the entering column and movement direction
-// (+1 from lower bound, −1 from upper), or (−1, 0) at optimality. The
-// reduced costs in rv.dj must be current.
+// (+1 from lower bound, −1 from upper), or (−1, 0) at optimality. It
+// prices by Devex (largest d_j²/w_j) and falls back to Bland's rule
+// after a run of degenerate pivots. The reduced costs in rv.dj must be
+// current.
 func (rv *revised) chooseEntering() (int, int) {
 	useBland := rv.bland > rv.blandLimit
 	enter, dir := -1, 0
@@ -354,11 +363,7 @@ func (rv *revised) chooseEntering() (int, int) {
 		if useBland {
 			return j, dj
 		}
-		score := viol
-		if rv.pricing == PricingDevex {
-			score = viol * viol / rv.weight[j]
-		}
-		if score > best {
+		if score := viol * viol / rv.weight[j]; score > best {
 			best = score
 			enter, dir = j, dj
 		}
@@ -367,7 +372,10 @@ func (rv *revised) chooseEntering() (int, int) {
 }
 
 // ratioTest computes how far the entering variable can move using the
-// FTRAN'd column alpha. The logic mirrors the dense tableau's.
+// FTRAN'd column alpha. It returns the leaving row (or -1), the step
+// length, and whether the move is a bound flip of the entering variable
+// itself. Ties prefer the numerically larger pivot, or the smallest
+// variable index under Bland's rule.
 func (rv *revised) ratioTest(enter, dir int, alpha []float64) (leaveRow int, step float64, flip bool) {
 	limit := math.Inf(1)
 	if !math.IsInf(rv.upper[enter], 1) {
@@ -485,7 +493,6 @@ func (rv *revised) applyPivot(r, enter int, step float64, dir int, alpha []float
 	dEnter := rv.dj[enter]
 	pivA := alpha[r]
 	ratio := dEnter / pivA
-	devex := rv.pricing == PricingDevex
 	wScale := rv.weight[enter] / (pivA * pivA)
 	maxW := 0.0
 	for j := 0; j < rv.n; j++ {
@@ -497,23 +504,19 @@ func (rv *revised) applyPivot(r, enter int, step float64, dir int, alpha []float
 		a := arj[j]
 		if !StructZero(a) {
 			rv.dj[j] -= ratio * a
-			if devex {
-				if w := a * a * wScale; w > rv.weight[j] {
-					rv.weight[j] = w
-				}
+			if w := a * a * wScale; w > rv.weight[j] {
+				rv.weight[j] = w
 			}
 		}
-		if devex && rv.weight[j] > maxW {
+		if rv.weight[j] > maxW {
 			maxW = rv.weight[j]
 		}
 	}
 	rv.dj[leave] = -ratio
 	rv.dj[enter] = 0
-	if devex {
-		rv.weight[leave] = math.Max(wScale, 1)
-		if maxW > devexMaxWeight {
-			rv.resetDevex()
-		}
+	rv.weight[leave] = math.Max(wScale, 1)
+	if maxW > devexMaxWeight {
+		rv.resetDevex()
 	}
 
 	rv.basis[r] = enter
@@ -541,7 +544,8 @@ func (rv *revised) optimize(c []float64) Status {
 		if rv.iters >= rv.maxIter {
 			return IterLimit
 		}
-		// Poll the context every 64 pivots, as the dense path does.
+		// Poll the context every 64 pivots: cheap against the pricing
+		// work of each iteration, responsive enough for deadlines.
 		if rv.iters&63 == 0 && rv.ctx != nil && rv.ctx.Err() != nil {
 			return Canceled
 		}
@@ -636,7 +640,7 @@ func (rv *revised) lockArtificials() {
 }
 
 // evictArtificials pivots basic artificials (at value ~0) out of the
-// basis where a usable pivot exists, mirroring the dense path. Rows
+// basis where a usable pivot exists. Rows
 // with no pivot are linearly dependent; their artificial stays basic at
 // zero, harmless once clamped.
 func (rv *revised) evictArtificials() {

@@ -55,17 +55,11 @@ func TestSparseDenseAgreeProperty(t *testing.T) {
 	statuses := make(map[Status]int)
 	for seed := int64(0); seed < 200; seed++ {
 		sparse := randomLP(seed)
-		sparse.SetAlgorithm(AlgoRevisedSparse)
-		dense := randomLP(seed)
-		dense.SetAlgorithm(AlgoDenseTableau)
 		ss, err := sparse.Solve()
 		if err != nil {
 			t.Fatalf("seed %d: sparse: %v", seed, err)
 		}
-		ds, err := dense.Solve()
-		if err != nil {
-			t.Fatalf("seed %d: dense: %v", seed, err)
-		}
+		ds := solveDense(randomLP(seed))
 		statuses[ss.Status]++
 		if ss.Status != ds.Status {
 			t.Errorf("seed %d: status sparse=%v dense=%v", seed, ss.Status, ds.Status)
@@ -114,10 +108,8 @@ func TestSparseDenseAgreeUpperBounded(t *testing.T) {
 			}
 			return p
 		}
-		sp, dn := build(), build()
-		dn.SetAlgorithm(AlgoDenseTableau)
-		ss, _ := sp.Solve()
-		ds, _ := dn.Solve()
+		ss, _ := build().Solve()
+		ds := solveDense(build())
 		if ss.Status != ds.Status {
 			t.Fatalf("seed %d: status sparse=%v dense=%v", seed, ss.Status, ds.Status)
 		}
@@ -128,10 +120,10 @@ func TestSparseDenseAgreeUpperBounded(t *testing.T) {
 }
 
 // TestBealeCycling solves Beale's classic cycling LP — Dantzig pricing
-// stalls on degenerate pivots until the Bland fallback engages — under
-// both algorithms and both pricing rules.
+// stalls on degenerate pivots until the Bland fallback engages — with
+// the revised simplex and the dense oracle.
 func TestBealeCycling(t *testing.T) {
-	build := func(algo Algorithm, pr Pricing) *Problem {
+	build := func() *Problem {
 		p := NewProblem(Minimize)
 		x1 := p.AddVariable("x1", 0, Inf, -0.75)
 		x2 := p.AddVariable("x2", 0, Inf, 150)
@@ -140,43 +132,18 @@ func TestBealeCycling(t *testing.T) {
 		p.AddConstraint(LE, 0, Term{x1, 0.25}, Term{x2, -60}, Term{x3, -0.04}, Term{x4, 9})
 		p.AddConstraint(LE, 0, Term{x1, 0.5}, Term{x2, -90}, Term{x3, -0.02}, Term{x4, 3})
 		p.AddConstraint(LE, 1, Term{x3, 1})
-		p.SetAlgorithm(algo)
-		p.SetPricing(pr)
 		return p
+	}
+	sparse, err := build().Solve()
+	if err != nil {
+		t.Fatalf("sparse: %v", err)
 	}
 	for _, tc := range []struct {
 		name string
-		algo Algorithm
-		pr   Pricing
-	}{
-		{"sparse/devex", AlgoRevisedSparse, PricingDevex},
-		{"sparse/dantzig", AlgoRevisedSparse, PricingDantzig},
-		{"dense", AlgoDenseTableau, PricingDantzig},
-	} {
-		s, err := build(tc.algo, tc.pr).Solve()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if s.Status != Optimal || !almostEq(s.Objective, -0.05, 1e-9) {
-			t.Fatalf("%s: status=%v obj=%g, want optimal -0.05", tc.name, s.Status, s.Objective)
-		}
-	}
-}
-
-// TestPricingRulesAgree checks Devex and Dantzig reach the same
-// optimum on random instances (iteration counts may differ).
-func TestPricingRulesAgree(t *testing.T) {
-	for seed := int64(0); seed < 60; seed++ {
-		devex := randomLP(seed)
-		dantzig := randomLP(seed)
-		dantzig.SetPricing(PricingDantzig)
-		sv, _ := devex.Solve()
-		sd, _ := dantzig.Solve()
-		if sv.Status != sd.Status {
-			t.Fatalf("seed %d: status devex=%v dantzig=%v", seed, sv.Status, sd.Status)
-		}
-		if sv.Status == Optimal && !almostEq(sv.Objective, sd.Objective, 1e-6*(1+math.Abs(sd.Objective))) {
-			t.Fatalf("seed %d: objective devex=%g dantzig=%g", seed, sv.Objective, sd.Objective)
+		s    *Solution
+	}{{"sparse", sparse}, {"dense", solveDense(build())}} {
+		if tc.s.Status != Optimal || !almostEq(tc.s.Objective, -0.05, 1e-9) {
+			t.Fatalf("%s: status=%v obj=%g, want optimal -0.05", tc.name, tc.s.Status, tc.s.Objective)
 		}
 	}
 }
@@ -272,10 +239,10 @@ func TestWarmStartShapeMismatchFallsBack(t *testing.T) {
 	}
 }
 
-// TestRevisedCountersReported: the sparse path reports refactorization
-// work; the dense path reports none.
+// TestRevisedCountersReported: the revised simplex reports
+// refactorization work and agrees with the dense oracle on the optimum.
 func TestRevisedCountersReported(t *testing.T) {
-	build := func(a Algorithm) *Problem {
+	build := func() *Problem {
 		rng := rand.New(rand.NewSource(11))
 		p := NewProblem(Minimize)
 		n := 40
@@ -294,22 +261,18 @@ func TestRevisedCountersReported(t *testing.T) {
 			}
 			p.AddConstraint(GE, 1+rng.Float64()*5, terms...)
 		}
-		p.SetAlgorithm(a)
 		return p
 	}
-	sp, err := build(AlgoRevisedSparse).Solve()
+	sp, err := build().Solve()
 	if err != nil || sp.Status != Optimal {
 		t.Fatalf("sparse: %v %+v", err, sp)
 	}
 	if sp.Refactorizations == 0 {
 		t.Fatal("sparse solve reported no refactorizations")
 	}
-	dn, err := build(AlgoDenseTableau).Solve()
-	if err != nil || dn.Status != Optimal {
-		t.Fatalf("dense: %v %+v", err, dn)
-	}
-	if dn.Refactorizations != 0 || dn.DevexResets != 0 {
-		t.Fatalf("dense solve reported revised-simplex counters: %+v", dn)
+	dn := solveDense(build())
+	if dn.Status != Optimal {
+		t.Fatalf("dense: %+v", dn)
 	}
 	if !almostEq(sp.Objective, dn.Objective, 1e-6*(1+math.Abs(dn.Objective))) {
 		t.Fatalf("objectives differ: sparse=%g dense=%g", sp.Objective, dn.Objective)

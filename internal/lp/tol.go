@@ -1,9 +1,10 @@
 package lp
 
-// Numerical tolerances, hoisted into one place so the sparse revised
-// simplex and the dense tableau oracle cannot drift apart. The paper's
-// instances are small and well scaled (unit costs, traffic volumes
-// normalized by the generator), so fixed tolerances are adequate.
+// Numerical tolerances, hoisted into one place so the revised simplex
+// and the dense tableau test oracle (dense_test.go) cannot drift apart.
+// The paper's instances are small and well scaled (unit costs, traffic
+// volumes normalized by the generator), so fixed tolerances are
+// adequate.
 const (
 	// epsCost is the reduced-cost optimality (dual feasibility)
 	// tolerance.

@@ -120,7 +120,7 @@ func (s *search) strongBranchInit(rootSol *lp.Solution) {
 			continue
 		}
 		f := rootSol.X[j] - math.Floor(rootSol.X[j])
-		if f < s.opts.IntTol || f > 1-s.opts.IntTol {
+		if f < intTol || f > 1-intTol {
 			continue
 		}
 		cands = append(cands, cand{j, f})

@@ -16,6 +16,8 @@ import (
 // bases share one shape and child warm starts keep working.
 
 const (
+	// cutRounds caps the root separation rounds.
+	cutRounds = 8
 	// cutRoundCap bounds the cuts added per separation round.
 	cutRoundCap = 32
 	// cutMinViolation is the minimum LP violation worth a cut.
@@ -452,7 +454,7 @@ func (s *separator) coverCuts(x []float64, cuts []cutRow) []cutRow {
 func (s *search) cutLoop(rootSol *lp.Solution) *lp.Solution {
 	p := s.p
 	sep := newSeparator(p)
-	for round := 0; round < s.opts.CutRounds; round++ {
+	for round := 0; round < cutRounds; round++ {
 		if s.ctx.Err() != nil {
 			s.interrupted = lp.Canceled
 			return rootSol

@@ -8,13 +8,12 @@
 // beacon-placement ILP (§6.1), the mixed programs LP 1 / LP 2 for
 // PPM(k) (§4.3), and the MILP PPME(h,k) of §5.3.
 //
-// By default the search runs root-strengthened (AlgoRootStrengthened):
-// a presolve pass shrinks the instance behind a postsolve map, lifted
-// cover and clique cuts tighten the root relaxation, reduced-cost
-// fixing pins binaries the root duals prove out, and branching is
-// pseudo-cost driven (initialized by strong-branching probes at the
-// root). AlgoPlainTree retains the naive tree as the test oracle; see
-// DESIGN.md §4.
+// The search is root-strengthened: a presolve pass shrinks the instance
+// behind a postsolve map, lifted cover and clique cuts tighten the root
+// relaxation, reduced-cost fixing pins binaries the root duals prove
+// out, and branching is pseudo-cost driven (initialized by
+// strong-branching probes at the root). The tests check it against a
+// naive depth-first tree kept in plain_test.go; see DESIGN.md §4.
 package mip
 
 import (
@@ -37,30 +36,12 @@ type Problem struct {
 	opts    Options
 }
 
-// TreeAlgo selects the branch-and-bound pipeline.
-type TreeAlgo int
-
-const (
-	// AlgoRootStrengthened (default) runs presolve, root cutting
-	// planes, reduced-cost fixing and pseudo-cost branching around the
-	// tree search. It requires the sparse revised simplex; with
-	// lp.AlgoDenseTableau selected the solver falls back to the plain
-	// tree (the dense oracle exposes no duals).
-	AlgoRootStrengthened TreeAlgo = iota
-	// AlgoPlainTree is the naive best-first tree (no presolve, no
-	// cuts, no fixing, fractionality-driven branching), kept as the
-	// test oracle and ablation baseline.
-	AlgoPlainTree
-)
-
 // Options tunes the branch-and-bound search.
 type Options struct {
 	// MaxNodes caps the number of explored nodes. 0 means the default
 	// (200000). When exceeded, Solve returns the incumbent with
 	// Status = IterLimit when one exists, Infeasible otherwise.
 	MaxNodes int
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
 	// Gap is the absolute optimality gap for pruning (default 1e-9;
 	// with the paper's unit device costs an absolute gap of 1-1e-6
 	// would also be valid, but we keep the conservative default).
@@ -70,53 +51,16 @@ type Options struct {
 	// default 0 keeps pruning purely absolute; large-objective
 	// instances should set it so pruning scales with the objective.
 	RelGap float64
-	// Branching selects the branching-variable rule. The PseudoCost
-	// default degrades to MostFractional on the plain tree (pseudo-cost
-	// state lives in the strengthened pipeline).
-	Branching BranchRule
 	// Incumbent, when non-nil, warm-starts the search with a known
 	// feasible solution (e.g. a greedy heuristic's): subtrees that
 	// cannot beat it are pruned immediately. It must be feasible and
 	// integral on the integer variables; otherwise it is ignored.
 	Incumbent []float64
-	// Algorithm selects the LP relaxation solver. The default sparse
-	// revised simplex (lp.AlgoRevisedSparse) also enables basis
-	// warm-starting of child nodes; the dense tableau
-	// (lp.AlgoDenseTableau) solves every node cold and is retained for
-	// the ablation study (it forces Tree = AlgoPlainTree).
-	Algorithm lp.Algorithm
-	// Pricing selects the revised simplex pricing rule.
-	Pricing lp.Pricing
-	// Tree selects the search pipeline (default AlgoRootStrengthened).
-	Tree TreeAlgo
-	// NoPresolve, NoCuts, NoFixing and NoStrongBranch switch off
-	// individual stages of the root-strengthened pipeline — the
-	// ablation knobs of BenchmarkAblationTree.
-	NoPresolve     bool
-	NoCuts         bool
-	NoFixing       bool
-	NoStrongBranch bool
-	// CutRounds caps the root cutting-plane rounds (0 = default 8).
-	CutRounds int
 }
 
-// BranchRule selects which fractional variable to branch on.
-type BranchRule int
-
-const (
-	// PseudoCost branches on the variable with the largest estimated
-	// objective degradation product (down × up), estimates initialized
-	// from strong-branching probes at the root and updated from the
-	// observed bound movement of every solved child (default).
-	PseudoCost BranchRule = iota
-	// MostFractional branches on the variable whose fractional part is
-	// closest to 1/2 (the pre-pseudo-cost default, still the plain
-	// tree's rule).
-	MostFractional
-	// FirstFractional branches on the lowest-index fractional variable
-	// (kept for the ablation study, see DESIGN.md §6).
-	FirstFractional
-)
+// intTol is the integrality tolerance: an integer variable within
+// intTol of an integer counts as integral.
+const intTol = 1e-6
 
 // Status mirrors lp.Status for MIP outcomes.
 type Status = lp.Status
@@ -130,18 +74,17 @@ type Solution struct {
 	Status    lp.Status
 	Objective float64
 	// X is indexed by lp.Var; integer variables are exactly integral
-	// (rounded from within IntTol). Presolve is invisible here: X is
+	// (rounded from within intTol). Presolve is invisible here: X is
 	// always full-length in the caller's variable space.
 	X []float64
 	// SolveStats carries the effort counters a MIP solve fills: Nodes,
 	// Pivots (every LP solve, including interrupted nodes, warm-start
 	// attempts that fell back to a cold solve, root cutting-plane
-	// re-solves and strong-branching probes), Refactorizations and
-	// DevexResets (0 with the dense tableau), WarmStarts (child nodes
-	// solved from the parent's basis), CutsAdded, VarsFixed,
-	// PresolveRemoved and StrongBranches. Bound is the best proven bound
-	// on the optimum (equal to Objective at optimality, tighter than
-	// Objective only on early stop).
+	// re-solves and strong-branching probes), Refactorizations,
+	// DevexResets, WarmStarts (child nodes solved from the parent's
+	// basis), CutsAdded, VarsFixed, PresolveRemoved and StrongBranches.
+	// Bound is the best proven bound on the optimum (equal to Objective
+	// at optimality, tighter than Objective only on early stop).
 	core.SolveStats
 }
 
@@ -262,26 +205,12 @@ func (p *Problem) SolveContext(ctx context.Context) (*Solution, error) {
 	if opts.MaxNodes == 0 {
 		opts.MaxNodes = 200000
 	}
-	if lp.StructZero(opts.IntTol) {
-		opts.IntTol = 1e-6
-	}
 	if lp.StructZero(opts.Gap) {
 		opts.Gap = 1e-9
 	}
-	if opts.CutRounds == 0 {
-		opts.CutRounds = 8
-	}
-	if opts.Tree == AlgoPlainTree || opts.Algorithm == lp.AlgoDenseTableau {
-		return p.solveTree(ctx, opts, nil)
-	}
-	return p.solveStrengthened(ctx, opts)
-}
-
-// solveStrengthened presolves the instance, runs the strengthened tree
-// on the reduced problem, and postsolves the answer back into the
-// caller's variable space.
-func (p *Problem) solveStrengthened(ctx context.Context, opts Options) (*Solution, error) {
-	pre := presolveProblem(p, opts)
+	// Presolve, search the reduced problem, and postsolve the answer
+	// back into the caller's variable space.
+	pre := presolveProblem(p)
 	if pre.infeasible {
 		return &Solution{Status: lp.Infeasible, SolveStats: core.SolveStats{PresolveRemoved: pre.removed}}, nil
 	}
@@ -305,7 +234,7 @@ func (p *Problem) solveStrengthened(ctx context.Context, opts Options) (*Solutio
 	} else {
 		ropts.Incumbent = nil
 	}
-	sol, err := red.solveTree(ctx, ropts, pre)
+	sol, err := red.solveTree(ctx, ropts)
 	if err != nil {
 		return nil, err
 	}
@@ -318,35 +247,25 @@ func (p *Problem) solveStrengthened(ctx context.Context, opts Options) (*Solutio
 	return sol, nil
 }
 
-// solveTree is the shared branch-and-bound engine. With pre == nil it
-// is the plain tree (the historical algorithm over chain nodes); with a
-// presolve state it runs the root-strengthening pipeline — cutting
-// planes, reduced-cost fixing, strong-branching-initialized pseudo-cost
-// branching — before and during the search.
-func (p *Problem) solveTree(ctx context.Context, opts Options, pre *presolveState) (*Solution, error) {
-	// Remember original bounds so the Problem is reusable after Solve.
-	orig := make([][2]float64, p.lp.NumVariables())
-	for v := range orig {
-		lo, hi := p.lp.Bounds(lp.Var(v))
-		orig[v] = [2]float64{lo, hi}
-	}
-	defer func() {
-		for v, b := range orig {
-			p.lp.SetBounds(lp.Var(v), b[0], b[1])
-		}
-	}()
-
-	p.lp.SetAlgorithm(opts.Algorithm)
-	p.lp.SetPricing(opts.Pricing)
-
+// solveTree is the branch-and-bound engine over the presolved problem:
+// best-first over chain nodes, with the root-strengthening pipeline —
+// cutting planes, reduced-cost fixing, strong-branching-initialized
+// pseudo-cost branching — run before and during the search.
+//
+// p is the presolved problem, private to this solve, so the node
+// bounds the search installs need no restoring.
+func (p *Problem) solveTree(ctx context.Context, opts Options) (*Solution, error) {
 	s := &search{
 		p:    p,
 		ctx:  ctx,
 		opts: opts,
 	}
-	// base starts as a copy of orig; reduced-cost fixing tightens it.
-	s.base = make([][2]float64, len(orig))
-	copy(s.base, orig)
+	// base starts as the root bounds; reduced-cost fixing tightens it.
+	s.base = make([][2]float64, p.lp.NumVariables())
+	for v := range s.base {
+		lo, hi := p.lp.Bounds(lp.Var(v))
+		s.base[v] = [2]float64{lo, hi}
+	}
 	s.worst = math.Inf(1)
 	if p.sense == lp.Maximize {
 		s.worst = math.Inf(-1)
@@ -368,7 +287,7 @@ func (p *Problem) solveTree(ctx context.Context, opts Options, pre *presolveStat
 		s.interrupted = lp.Canceled
 		return s.finish(), nil
 	}
-	if done, err := s.root(pre); done || err != nil {
+	if done, err := s.root(); done || err != nil {
 		if err != nil {
 			return nil, err
 		}
@@ -386,7 +305,7 @@ func (p *Problem) solveTree(ctx context.Context, opts Options, pre *presolveStat
 		// Strong branching is lazy: only a tree that proved nontrivial
 		// pays for root probes (small searches finish before the
 		// threshold and skip the 2×strongBranchCandidates LPs).
-		if s.pc != nil && !s.probed && !opts.NoStrongBranch && s.st.Nodes >= strongBranchTrigger {
+		if !s.probed && s.st.Nodes >= strongBranchTrigger {
 			s.probed = true
 			s.applyBase()
 			s.strongBranchInit(s.rootSol)
@@ -428,14 +347,12 @@ func (p *Problem) solveTree(ctx context.Context, opts Options, pre *presolveStat
 			// for the paper's models; treat as exhausted.
 			continue
 		}
-		if s.pc != nil && nd.branchVar >= 0 {
-			s.pc.observe(int(nd.branchVar), nd.up, s.worsen(sol.Objective, nd.relax), nd.frac)
-		}
+		s.pc.observe(int(nd.branchVar), nd.up, s.worsen(sol.Objective, nd.relax), nd.frac)
 		if s.incumbent != nil && !s.better(sol.Objective, s.incObj+s.pruneSlack()) {
 			continue
 		}
 
-		branchVar := p.pickBranch(sol.X, opts, s.pc)
+		branchVar := p.pickBranch(sol.X, s.pc)
 		if branchVar < 0 {
 			// Integer feasible.
 			s.foundIncumbent(sol.X, sol.Objective)
@@ -600,19 +517,15 @@ func (s *search) pushChildren(nd *node, v lp.Var, sol *lp.Solution) {
 	}
 }
 
-// root solves the root relaxation and, on the strengthened path, runs
-// the cutting-plane loop, reduced-cost fixing and strong-branching
-// pseudo-cost initialization. It returns done == true when the search
-// is already decided (infeasible, unbounded, interrupted, integral
-// root, or root bound dominated by the incumbent).
-func (s *search) root(pre *presolveState) (done bool, err error) {
-	p, opts := s.p, s.opts
-	strengthen := pre != nil
-	wantDuals := strengthen && !opts.NoFixing
-	if wantDuals {
-		p.lp.SetExtractDuals(true)
-		defer p.lp.SetExtractDuals(false)
-	}
+// root solves the root relaxation, runs the cutting-plane loop and
+// reduced-cost fixing, and sets up the pseudo-cost state. It returns
+// done == true when the search is already decided (infeasible,
+// unbounded, interrupted, integral root, or root bound dominated by
+// the incumbent).
+func (s *search) root() (done bool, err error) {
+	p := s.p
+	p.lp.SetExtractDuals(true)
+	defer p.lp.SetExtractDuals(false)
 
 	s.st.Nodes++
 	sol, err := p.lp.SolveContext(s.ctx)
@@ -637,35 +550,22 @@ func (s *search) root(pre *presolveState) (done bool, err error) {
 		return true, nil
 	}
 
-	if strengthen && !opts.NoCuts {
-		sol = s.cutLoop(sol)
-		if s.interrupted != lp.Optimal {
-			return true, nil
-		}
+	sol = s.cutLoop(sol)
+	if s.interrupted != lp.Optimal {
+		return true, nil
 	}
-	if wantDuals && sol.ReducedCosts != nil {
-		s.captureRootDuals(sol)
-		s.reducedCostFix()
-	}
+	s.captureRootDuals(sol)
+	s.reducedCostFix()
 
-	branchVar := p.pickBranch(sol.X, opts, nil)
+	// Pseudo-cost state; strong-branching initialization is lazy
+	// (triggered by the tree loop at strongBranchTrigger nodes) so
+	// small searches never pay for the probes.
+	s.pc = newPseudoCosts(p.lp.NumVariables())
+	s.rootSol = sol
+	branchVar := p.pickBranch(sol.X, s.pc)
 	if branchVar < 0 {
 		s.foundIncumbent(sol.X, sol.Objective)
 		return true, nil
-	}
-	if strengthen && opts.Branching == PseudoCost {
-		// Pseudo-cost state; strong-branching initialization is lazy
-		// (triggered by the tree loop at strongBranchTrigger nodes) so
-		// small searches never pay for the probes.
-		s.pc = newPseudoCosts(p.lp.NumVariables())
-		s.rootSol = sol
-		branchVar = p.pickBranch(sol.X, opts, s.pc)
-		if branchVar < 0 {
-			// Unreachable in practice (the LP point did not change),
-			// but stay safe.
-			s.foundIncumbent(sol.X, sol.Objective)
-			return true, nil
-		}
 	}
 	rootNode := &node{branchVar: -1, relax: sol.Objective}
 	s.pushChildren(rootNode, branchVar, sol)
@@ -702,7 +602,7 @@ func (s *search) captureRootDuals(sol *lp.Solution) {
 // incumbent cutoff. The test mirrors the tree's pruning rule exactly,
 // so fixing can drop alternate optima but never the objective value.
 func (s *search) reducedCostFix() {
-	if s.rootDj == nil || s.incumbent == nil || s.opts.NoFixing {
+	if s.rootDj == nil || s.incumbent == nil {
 		return
 	}
 	cutoff := s.minForm(s.incObj) - s.gapSlack()
@@ -798,14 +698,11 @@ func (p *Problem) evaluateIncumbent(x []float64) (float64, bool) {
 	return p.lp.Evaluate(x)
 }
 
-// pickBranch returns the integer variable to branch on, or -1 when x is
-// integer feasible. pc drives pseudo-cost scoring and may be nil, in
-// which case PseudoCost degrades to MostFractional.
-func (p *Problem) pickBranch(x []float64, opts Options, pc *pseudoCosts) lp.Var {
-	rule := opts.Branching
-	if rule == PseudoCost && pc == nil {
-		rule = MostFractional
-	}
+// pickBranch returns the fractional integer variable with the best
+// pseudo-cost score, or -1 when x is integer feasible. At the root,
+// before anything has been observed, every estimate is 1 and the
+// product rule picks the most fractional variable.
+func (p *Problem) pickBranch(x []float64, pc *pseudoCosts) lp.Var {
 	best := lp.Var(-1)
 	bestScore := -1.0
 	for j, isInt := range p.integer {
@@ -813,19 +710,10 @@ func (p *Problem) pickBranch(x []float64, opts Options, pc *pseudoCosts) lp.Var 
 			continue
 		}
 		frac := x[j] - math.Floor(x[j])
-		if frac < opts.IntTol || frac > 1-opts.IntTol {
+		if frac < intTol || frac > 1-intTol {
 			continue
 		}
-		var score float64
-		switch rule {
-		case FirstFractional:
-			return lp.Var(j)
-		case MostFractional:
-			score = math.Min(frac, 1-frac)
-		case PseudoCost:
-			score = pc.score(j, frac)
-		}
-		if score > bestScore {
+		if score := pc.score(j, frac); score > bestScore {
 			bestScore = score
 			best = lp.Var(j)
 		}

@@ -75,7 +75,7 @@ func TestInfeasibleMIP(t *testing.T) {
 	}
 }
 
-func triangleCover(opts Options) *Problem {
+func triangleCover() *Problem {
 	p := NewProblem(lp.Minimize)
 	a := p.AddBinaryVariable("a", 1)
 	b := p.AddBinaryVariable("b", 1)
@@ -83,14 +83,13 @@ func triangleCover(opts Options) *Problem {
 	p.AddConstraint(lp.GE, 1, tm(a, 1), tm(b, 1))
 	p.AddConstraint(lp.GE, 1, tm(b, 1), tm(c, 1))
 	p.AddConstraint(lp.GE, 1, tm(a, 1), tm(c, 1))
-	p.SetOptions(opts)
 	return p
 }
 
 func TestIntegralityGapInstance(t *testing.T) {
 	// Vertex cover on a triangle: LP relaxation gives 1.5 (all halves),
 	// the ILP must pay 2 — exercises real branching on the plain tree.
-	s := solveOrDie(t, triangleCover(Options{Tree: AlgoPlainTree}))
+	s := plainTree(t, triangleCover())
 	if s.Status != lp.Optimal || !almostEq(s.Objective, 2, 1e-6) {
 		t.Fatalf("status=%v obj=%g, want optimal 2", s.Status, s.Objective)
 	}
@@ -102,7 +101,7 @@ func TestIntegralityGapInstance(t *testing.T) {
 func TestCliqueCutClosesTriangleAtRoot(t *testing.T) {
 	// The strengthened default separates the triangle clique cut
 	// y_a + y_b + y_c >= 2 at the root and never branches at all.
-	s := solveOrDie(t, triangleCover(Options{}))
+	s := solveOrDie(t, triangleCover())
 	if s.Status != lp.Optimal || !almostEq(s.Objective, 2, 1e-6) {
 		t.Fatalf("status=%v obj=%g, want optimal 2", s.Status, s.Objective)
 	}
@@ -134,7 +133,7 @@ func TestSolveIsRepeatable(t *testing.T) {
 	b := p.AddBinaryVariable("b", 2)
 	p.AddConstraint(lp.GE, 1, tm(a, 1), tm(b, 1))
 	s1 := solveOrDie(t, p)
-	s2 := solveOrDie(t, p) // bounds must be restored after the 1st solve
+	s2 := solveOrDie(t, p) // the 1st solve must leave p untouched
 	if s1.Objective != s2.Objective || s1.Status != s2.Status {
 		t.Fatalf("resolve differs: %+v vs %+v", s1, s2)
 	}
@@ -224,8 +223,9 @@ func bruteForceBinary(n int, cost []float64, rows []bRow, maximize bool) float64
 	return best
 }
 
-// Property: branch and bound matches exhaustive enumeration on random
-// small binary programs, both senses, all relation kinds.
+// Property: branch and bound, and the plainTree reference, match
+// exhaustive enumeration on random small binary programs, both senses,
+// all relation kinds.
 func TestBranchAndBoundMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -265,19 +265,21 @@ func TestBranchAndBoundMatchesBruteForce(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
+		ref := plainTree(t, p)
 		if math.IsNaN(want) {
-			if s.Status != lp.Infeasible {
-				t.Logf("seed %d: want infeasible, got %v obj=%g", seed, s.Status, s.Objective)
+			if s.Status != lp.Infeasible || ref.Status != lp.Infeasible {
+				t.Logf("seed %d: want infeasible, got mip %v obj=%g, plain %v obj=%g",
+					seed, s.Status, s.Objective, ref.Status, ref.Objective)
 				return false
 			}
 			return true
 		}
-		if s.Status != lp.Optimal {
-			t.Logf("seed %d: want optimal %g, got %v", seed, want, s.Status)
+		if s.Status != lp.Optimal || ref.Status != lp.Optimal {
+			t.Logf("seed %d: want optimal %g, got mip %v, plain %v", seed, want, s.Status, ref.Status)
 			return false
 		}
-		if !almostEq(s.Objective, want, 1e-5) {
-			t.Logf("seed %d: mip=%g brute=%g", seed, s.Objective, want)
+		if !almostEq(s.Objective, want, 1e-5) || !almostEq(ref.Objective, want, 1e-5) {
+			t.Logf("seed %d: mip=%g plain=%g brute=%g", seed, s.Objective, ref.Objective, want)
 			return false
 		}
 		// Integer variables must be exactly integral.
@@ -290,36 +292,6 @@ func TestBranchAndBoundMatchesBruteForce(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: both branching rules find the same optimum.
-func TestBranchingRulesAgree(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(8)
-		build := func(rule BranchRule) *Problem {
-			r := rand.New(rand.NewSource(seed))
-			p := NewProblem(lp.Maximize)
-			terms := make([]lp.Term, n)
-			for j := 0; j < n; j++ {
-				v := p.AddBinaryVariable("x", 1+r.Float64()*9)
-				terms[j] = tm(v, 1+r.Float64()*5)
-			}
-			p.AddConstraint(lp.LE, float64(n), terms...)
-			p.SetOptions(Options{Branching: rule})
-			return p
-		}
-		_ = rng
-		s1, err1 := build(MostFractional).Solve()
-		s2, err2 := build(FirstFractional).Solve()
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return almostEq(s1.Objective, s2.Objective, 1e-6)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -524,11 +496,11 @@ func TestCancellationMidSearchCountsPivots(t *testing.T) {
 	}
 }
 
-// TestWarmStartCountersSurface: solving a branchy MIP on the sparse
-// path reports warm-started nodes and refactorizations, and the dense
-// ablation path reports neither but agrees on the optimum.
+// TestWarmStartCountersSurface: solving a branchy MIP reports
+// warm-started nodes and refactorizations, and agrees with the
+// plainTree reference on the optimum.
 func TestWarmStartCountersSurface(t *testing.T) {
-	build := func(algo lp.Algorithm) *Problem {
+	build := func() *Problem {
 		rng := rand.New(rand.NewSource(17))
 		p := NewProblem(lp.Minimize)
 		n := 14
@@ -548,24 +520,20 @@ func TestWarmStartCountersSurface(t *testing.T) {
 			}
 			p.AddConstraint(lp.GE, 1, terms...)
 		}
-		p.SetOptions(Options{Algorithm: algo})
 		return p
 	}
-	sp := solveOrDie(t, build(lp.AlgoRevisedSparse))
-	dn := solveOrDie(t, build(lp.AlgoDenseTableau))
-	if sp.Status != lp.Optimal || dn.Status != lp.Optimal {
-		t.Fatalf("statuses: sparse=%v dense=%v", sp.Status, dn.Status)
+	sp := solveOrDie(t, build())
+	ref := plainTree(t, build())
+	if sp.Status != lp.Optimal || ref.Status != lp.Optimal {
+		t.Fatalf("statuses: mip=%v plain=%v", sp.Status, ref.Status)
 	}
-	if !almostEq(sp.Objective, dn.Objective, 1e-6) {
-		t.Fatalf("objectives differ: sparse=%g dense=%g", sp.Objective, dn.Objective)
+	if !almostEq(sp.Objective, ref.Objective, 1e-6) {
+		t.Fatalf("objectives differ: mip=%g plain=%g", sp.Objective, ref.Objective)
 	}
 	if sp.Nodes > 1 && sp.WarmStarts == 0 {
-		t.Fatalf("sparse branchy solve used no warm starts: %+v", sp)
+		t.Fatalf("branchy solve used no warm starts: %+v", sp)
 	}
 	if sp.Refactorizations == 0 {
-		t.Fatalf("sparse solve reported no refactorizations: %+v", sp)
-	}
-	if dn.WarmStarts != 0 || dn.Refactorizations != 0 {
-		t.Fatalf("dense solve reported revised-simplex counters: %+v", dn)
+		t.Fatalf("solve reported no refactorizations: %+v", sp)
 	}
 }

@@ -134,10 +134,10 @@ type presolver struct {
 	minCost  []float64 // sense-adjusted (minimization) objective costs
 }
 
-// presolveProblem reduces p behind a postsolve map. With opts.NoPresolve
-// it still builds the identity mapping (cuts and fixing run on a clone
-// of the model either way, keeping the caller's Problem untouched).
-func presolveProblem(p *Problem, opts Options) *presolveState {
+// presolveProblem reduces p behind a postsolve map. The reduced problem
+// is always a fresh model, so cuts and fixing never touch the caller's
+// Problem.
+func presolveProblem(p *Problem) *presolveState {
 	n := p.lp.NumVariables()
 	ps := &presolveState{origVars: n}
 	pr := &presolver{
@@ -159,10 +159,7 @@ func presolveProblem(p *Problem, opts Options) *presolveState {
 		pr.minCost[j] = c
 	}
 	pr.buildColRows()
-
-	if !opts.NoPresolve {
-		pr.run()
-	}
+	pr.run()
 	if ps.infeasible || ps.unbounded {
 		return ps
 	}

@@ -15,7 +15,7 @@ import (
 // Σ_{e∈p_t} x_e ≥ δ_t, Σ v_t·δ_t ≥ k·V, minimizing Σ x_e. It mirrors
 // internal/passive's formulation without the warm-start incumbent, so
 // the tree search is exercised from a cold start.
-func buildLP2(in *core.Instance, k float64, opts Options) *Problem {
+func buildLP2(in *core.Instance, k float64) *Problem {
 	p := NewProblem(lp.Minimize)
 	m := in.G.NumEdges()
 	xs := make([]lp.Var, m)
@@ -39,7 +39,6 @@ func buildLP2(in *core.Instance, k float64, opts Options) *Problem {
 		cov[ti] = lp.Term{Var: ds[ti], Coef: t.Volume}
 	}
 	p.AddConstraint(lp.GE, k*in.TotalVolume(), cov...)
-	p.SetOptions(opts)
 	return p
 }
 
@@ -47,7 +46,7 @@ func buildLP2(in *core.Instance, k float64, opts Options) *Problem {
 // oracle suite beyond figure-shaped instances: on small MIPs built
 // from every scenario family, the default root-strengthened pipeline
 // (presolve + cuts + reduced-cost fixing + pseudo-cost branching) must
-// agree with the AlgoPlainTree oracle on the optimal objective, and
+// agree with the plainTree reference on the optimal objective, and
 // its solution must be full-length and feasible in the caller's
 // variable space.
 func TestStrengthenedMatchesPlainTreeOnScenarioMIPs(t *testing.T) {
@@ -71,16 +70,12 @@ func TestStrengthenedMatchesPlainTreeOnScenarioMIPs(t *testing.T) {
 				t.Fatalf("%s/%d: %v", fam, seed, err)
 			}
 			for _, k := range []float64{0.8, 1} {
-				strong := buildLP2(in, k, Options{})
-				plain := buildLP2(in, k, Options{Tree: AlgoPlainTree})
+				strong := buildLP2(in, k)
 				ss, err := strong.Solve()
 				if err != nil {
 					t.Fatalf("%s/%d k=%g strengthened: %v", fam, seed, k, err)
 				}
-				ps, err := plain.Solve()
-				if err != nil {
-					t.Fatalf("%s/%d k=%g plain: %v", fam, seed, k, err)
-				}
+				ps := plainTree(t, buildLP2(in, k))
 				if ss.Status != lp.Optimal || ps.Status != lp.Optimal {
 					t.Fatalf("%s/%d k=%g: status strengthened=%v plain=%v", fam, seed, k, ss.Status, ps.Status)
 				}
@@ -93,7 +88,7 @@ func TestStrengthenedMatchesPlainTreeOnScenarioMIPs(t *testing.T) {
 				// The strengthened solution must evaluate feasible (and to
 				// its own objective) on a fresh, untouched copy of the
 				// problem.
-				check := buildLP2(in, k, Options{})
+				check := buildLP2(in, k)
 				obj, feas := check.lp.Evaluate(ss.X)
 				if !feas {
 					t.Fatalf("%s/%d k=%g: strengthened solution infeasible on the original problem", fam, seed, k)

@@ -12,7 +12,7 @@ import (
 // fixed variables, empty columns, duplicate rows and all relation
 // kinds, so presolve has something to chew on. The same seed always
 // produces the same instance.
-func buildRandomMIP(seed int64, opts Options) *Problem {
+func buildRandomMIP(seed int64) *Problem {
 	rng := rand.New(rand.NewSource(seed))
 	n := 2 + rng.Intn(9)
 	m := 1 + rng.Intn(6)
@@ -61,29 +61,24 @@ func buildRandomMIP(seed int64, opts Options) *Problem {
 	fv := p.AddBinaryVariable("fixed", 1)
 	p.FixVariable(fv, float64(rng.Intn(2)))
 	p.AddVariable("empty", 0, 3, math.Round(rng.Float64()*4-2))
-	p.SetOptions(opts)
 	return p
 }
 
 // TestStrengthenedMatchesPlainTree is the core property suite of the
 // root-strengthening pipeline: on 200 random instances the default
 // (presolve + cuts + reduced-cost fixing + pseudo-cost branching)
-// solver and the AlgoPlainTree oracle must agree on feasibility and on
+// solver and the plainTree reference must agree on feasibility and on
 // the optimal objective to 1e-6, and the strengthened solution vector
 // must be full-length and feasible in the caller's variable space
 // (presolve's postsolve at work).
 func TestStrengthenedMatchesPlainTree(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
-		strong := buildRandomMIP(seed, Options{})
-		plain := buildRandomMIP(seed, Options{Tree: AlgoPlainTree})
+		strong := buildRandomMIP(seed)
 		ss, err := strong.Solve()
 		if err != nil {
 			t.Fatalf("seed %d: strengthened: %v", seed, err)
 		}
-		ps, err := plain.Solve()
-		if err != nil {
-			t.Fatalf("seed %d: plain: %v", seed, err)
-		}
+		ps := plainTree(t, buildRandomMIP(seed))
 		if ss.Status != ps.Status {
 			t.Fatalf("seed %d: status %v (strengthened) vs %v (plain)", seed, ss.Status, ps.Status)
 		}
@@ -104,17 +99,16 @@ func TestStrengthenedMatchesPlainTree(t *testing.T) {
 }
 
 // TestReducedCostFixingNeverExcisesOptimum compares the default solver
-// against the same pipeline with fixing disabled on instances carrying
-// a (deliberately weak) warm-start incumbent, so the fixing machinery
-// actually engages. Objectives must match exactly; across the suite at
-// least one solve must report fixed variables, proving the machinery
-// ran at all.
+// against the plainTree reference on instances carrying a (deliberately
+// weak) warm-start incumbent, so the fixing machinery actually engages.
+// Objectives must match; across the suite at least one solve must
+// report fixed variables, proving the machinery ran at all.
 func TestReducedCostFixingNeverExcisesOptimum(t *testing.T) {
 	engaged := 0
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(8)
-		build := func(opts Options) *Problem {
+		build := func() *Problem {
 			r := rand.New(rand.NewSource(seed))
 			p := NewProblem(lp.Minimize)
 			vars := make([]lp.Var, n)
@@ -139,24 +133,20 @@ func TestReducedCostFixingNeverExcisesOptimum(t *testing.T) {
 			for j := range inc {
 				inc[j] = 1
 			}
-			opts.Incumbent = inc
-			p.SetOptions(opts)
+			p.SetOptions(Options{Incumbent: inc})
 			return p
 		}
 		_ = rng
-		with, err := build(Options{}).Solve()
+		with, err := build().Solve()
 		if err != nil {
 			t.Fatalf("seed %d: with fixing: %v", seed, err)
 		}
-		without, err := build(Options{NoFixing: true}).Solve()
-		if err != nil {
-			t.Fatalf("seed %d: without fixing: %v", seed, err)
+		ref := plainTree(t, build())
+		if with.Status != ref.Status {
+			t.Fatalf("seed %d: status %v (fixing) vs %v (plain)", seed, with.Status, ref.Status)
 		}
-		if with.Status != without.Status {
-			t.Fatalf("seed %d: status %v (fixing) vs %v (no fixing)", seed, with.Status, without.Status)
-		}
-		if with.Status == lp.Optimal && math.Abs(with.Objective-without.Objective) > 1e-6 {
-			t.Fatalf("seed %d: fixing changed the optimum: %g vs %g", seed, with.Objective, without.Objective)
+		if with.Status == lp.Optimal && math.Abs(with.Objective-ref.Objective) > 1e-6 {
+			t.Fatalf("seed %d: fixing changed the optimum: %g vs %g", seed, with.Objective, ref.Objective)
 		}
 		if with.VarsFixed > 0 {
 			engaged++
@@ -266,7 +256,7 @@ func TestNodeQueuePopReleasesSlot(t *testing.T) {
 // strong-branching probes once some tree in a random family exceeds
 // the trigger.
 func TestStrengthenedCountersFlow(t *testing.T) {
-	build := func(seed int64, n int, opts Options) *Problem {
+	build := func(seed int64, n int) *Problem {
 		rng := rand.New(rand.NewSource(seed))
 		p := NewProblem(lp.Minimize)
 		vars := make([]lp.Var, n)
@@ -285,10 +275,9 @@ func TestStrengthenedCountersFlow(t *testing.T) {
 			}
 			p.AddConstraint(lp.GE, 1, terms...)
 		}
-		p.SetOptions(opts)
 		return p
 	}
-	s, err := build(23, 24, Options{}).Solve()
+	s, err := build(23, 24).Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,17 +287,14 @@ func TestStrengthenedCountersFlow(t *testing.T) {
 	if s.PresolveRemoved == 0 {
 		t.Fatalf("presolve removed nothing on a reducible covering instance: %+v", s)
 	}
-	ps, err := build(23, 24, Options{Tree: AlgoPlainTree}).Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := plainTree(t, build(23, 24))
 	if !almostEq(s.Objective, ps.Objective, 1e-6) {
 		t.Fatalf("objectives differ: %g vs plain %g", s.Objective, ps.Objective)
 	}
 	// Find an instance whose strengthened tree passes the lazy trigger
 	// and confirm the probes fired and were counted.
 	for seed := int64(0); seed < 80; seed++ {
-		s, err := build(seed, 34, Options{}).Solve()
+		s, err := build(seed, 34).Solve()
 		if err != nil {
 			t.Fatal(err)
 		}

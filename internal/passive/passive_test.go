@@ -162,6 +162,12 @@ func TestSolversAgreeProperty(t *testing.T) {
 		}
 		return true
 	}
+	// This seed's k = 1 instance has an optimal cover whose last link
+	// falls short of the remaining volume by float drift alone; the
+	// cover search once pruned it and proved 5 devices where 4 suffice.
+	if !f(4878955098895162135) {
+		t.Fatal("seed 4878955098895162135 failed")
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
 	}
