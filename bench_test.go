@@ -249,7 +249,7 @@ func beaconStyleILP() *mip.Problem {
 
 // fig8Instance builds one Figure 8 (15-router POP) instance, the
 // cover-search ablation's subject: its k = 95% point is a hard one for
-// the branch-and-bound (structural integrality gap; see EXPERIMENTS.md).
+// the branch-and-bound (structural integrality gap; see DESIGN.md §4a).
 func fig8Instance(seed int64) *Instance {
 	cfg := topology.Paper15
 	cfg.Seed = seed

@@ -1,9 +1,8 @@
 // Command repro regenerates every figure of the paper's evaluation
-// section as text series (see DESIGN.md §3 and EXPERIMENTS.md for the
-// paper-versus-measured comparison). Figures run on the deterministic
-// parallel scenario engine: seed × sweep-point cells fan out on
-// -parallel workers and merge in canonical order, so the series are
-// byte-identical for any worker count.
+// section as text series (see DESIGN.md §3). Figures run on the
+// deterministic parallel scenario engine: seed × sweep-point cells fan
+// out on -parallel workers and merge in canonical order, so the series
+// are byte-identical for any worker count.
 //
 // Usage:
 //

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -121,10 +122,27 @@ func TestChurnReplay(t *testing.T) {
 // TestParallelFlagByteIdentical is the CLI face of the engine's
 // determinism guarantee: -parallel 1 and -parallel 8 emit the same
 // bytes on stdout for every figure, with progress confined to stderr.
+// The serial output must also equal testdata/figures-seeds1.txt, so a
+// change that moves any figure fails here. A change that means to move
+// one regenerates the golden on linux/amd64 with
+//
+//	go run ./cmd/repro -figure all -seeds 1 -parallel 1 > cmd/repro/testdata/figures-seeds1.txt
+//
+// The golden is compared on amd64 only: other architectures may fuse
+// multiply-adds, which can move float results the figures print.
 func TestParallelFlagByteIdentical(t *testing.T) {
 	var serialOut, serialProg strings.Builder
 	if err := run([]string{"-figure", "all", "-seeds", "1", "-parallel", "1"}, &serialOut, &serialProg); err != nil {
 		t.Fatal(err)
+	}
+	if runtime.GOARCH == "amd64" {
+		golden, err := os.ReadFile(filepath.Join("testdata", "figures-seeds1.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serialOut.String() != string(golden) {
+			t.Fatalf("-figure all -seeds 1 output differs from testdata/figures-seeds1.txt:\n%s\nwant:\n%s", serialOut.String(), golden)
+		}
 	}
 	var parOut, parProg strings.Builder
 	if err := run([]string{"-figure", "all", "-seeds", "1", "-parallel", "8"}, &parOut, &parProg); err != nil {

@@ -235,9 +235,10 @@ type Capture struct {
 // Exact solves Minimum Partial Cover exactly with branch and bound:
 // depth-first search that always branches on the set with the largest
 // residual coverage (include first, giving a greedy dive for early
-// incumbents) and prunes with an optimistic fractional bound, a frozen
-// Lagrangian dual-ascent bound, and (full covers) a disjoint-family
-// bound.
+// incumbents) and prunes with an optimistic additive bound, (full
+// covers) a disjoint-family bound, and — once a search survives the
+// burn-in on an instance within rootLPRowCap — the root LP bound with
+// reduced-cost set bans.
 //
 // Before searching it runs a kernelization fixpoint: dominated sets
 // (residual coverage contained in another's) are excluded, and for
@@ -316,11 +317,6 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 	s.rootExcluded, s.forced = excluded, forced
 	s.capture = opts.Capture
 	s.prepareGains(covered, excluded)
-	s.prepareDualBound(excluded, covered, coveredW)
-	// The reconstruction phase needs dual state that depends on the
-	// instance only; strengthenDualBound tightens (φ, λ) against the
-	// evolving incumbent, so the pre-search values are frozen here.
-	basePhi, baseLambda, baseUncov0 := s.dualPhi, s.dualLambda, s.dualUncov0
 
 	if opts.Warm != nil {
 		s.seedBasis = opts.Warm.Basis
@@ -347,10 +343,12 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 	// (instance, opt) alone, so the answer is identical whether the
 	// proof above ran cold or warm. The fresh serial search uses only
 	// instance-deterministic pruning state (presolve, residual gains,
-	// disjoint families, the pre-search dual pair — never LP reduced-
-	// cost bans, whose values depend on the basis the simplex happened
-	// to end on) with the proven optimum as a perfect bound: the first
-	// accepted cover has exactly opt sets and stops the search.
+	// disjoint families — never LP reduced-cost bans, whose values
+	// depend on the basis the simplex happened to end on) with the
+	// proven optimum as a perfect bound: the first accepted cover has
+	// exactly opt sets and stops the search. Bounds only prune, never
+	// reorder, so that cover is the first size-opt one in the search's
+	// own branching order, whichever bounds the value phase used.
 	r := &exactSearch{
 		ctx:     ctx,
 		in:      s.in,
@@ -365,10 +363,6 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 		rootExcluded: s.rootExcluded,
 		forced:       s.forced,
 
-		dualPhi:    basePhi,
-		dualLambda: baseLambda,
-		dualUncov0: baseUncov0,
-
 		setMasks:     s.setMasks,
 		elemCoverers: s.elemCoverers,
 		elemOrder:    s.elemOrder,
@@ -380,7 +374,7 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 
 		frontierDepth: -1,
 	}
-	r.search(covered, coveredW, baseUncov0, forced)
+	r.search(covered, coveredW, forced)
 	if r.doneOptimal {
 		res := r.resultOn(in)
 		res.Add(s.effort())
@@ -421,7 +415,7 @@ func (s *exactSearch) runValuePhases(maxNodes, workers int, excluded []bool, cov
 		burnIn = maxNodes
 	}
 	s.maxN = burnIn
-	s.search(covered, coveredW, s.dualUncov0, forced)
+	s.search(covered, coveredW, forced)
 	if !s.capped || s.ctx.Err() != nil || burnIn >= maxNodes {
 		// Closed, canceled, or the real node budget is exhausted.
 		return
@@ -432,7 +426,8 @@ func (s *exactSearch) runValuePhases(maxNodes, workers int, excluded []bool, cov
 	// lower bound and reduced-cost set bans. The bans are frozen
 	// against the burn-in incumbent before any parallelism starts, so
 	// they cannot leak schedule timing into branch selection. A warm
-	// solve seeds this LP with the saved basis.
+	// solve seeds this LP with the saved basis. An instance above
+	// rootLPRowCap skips the LP, and phase 2 then does nothing.
 	s.capped = false
 	if z, dj, sol, ok := rootLP(s.ctx, s.in, s.target, excluded, forced, s.seedBasis); ok {
 		s.lpZ, s.lpDj = z, dj
@@ -453,17 +448,6 @@ func (s *exactSearch) runValuePhases(maxNodes, workers int, excluded []bool, cov
 			return // the incumbent meets the LP bound
 		}
 	}
-	if s.lpDj == nil {
-		// Same decision point, for the instances the LP row cap turned
-		// away: a subgradient climb replaces the cheap alternation duals
-		// with a near-LP-strength frozen (φ, λ) pair. When the LP DID
-		// solve, its optimum dominates every Lagrangian value, so the
-		// climb could only waste the time it costs.
-		s.strengthenDualBound(excluded, covered, coveredW)
-		if s.bestLen <= s.rootLB {
-			return
-		}
-	}
 
 	// Phase 3 — frontier expansion: re-walk the tree serially, cutting
 	// it at a fixed depth into independent subtree tasks. The frontier
@@ -473,7 +457,7 @@ func (s *exactSearch) runValuePhases(maxNodes, workers int, excluded []bool, cov
 	s.maxN = maxNodes
 	for _, d := range []int{frontierDepth, frontierDepth + 4} {
 		s.tasks, s.frontierDepth, s.depth = nil, d, 0
-		s.search(covered, coveredW, s.dualUncov0, forced)
+		s.search(covered, coveredW, forced)
 		if s.capped || s.doneOptimal || s.ctx.Err() != nil || len(s.tasks) >= frontierMinTasks {
 			break
 		}
@@ -718,12 +702,12 @@ type exactSearch struct {
 	// pipeline, see DESIGN.md §4). The LP is paid at most once, at the
 	// deterministic burn-in → parallel phase boundary. lpZ is
 	// the relaxation objective, lpDj the per-set reduced costs (nil
-	// when the LP was skipped or failed), rootLB the best global lower
-	// bound (ceil of the LP objective or the root dual-ascent value,
-	// haveRootLB when meaningful), banned the sets excluded by reduced
-	// cost against the current incumbent, and doneOptimal flips when
-	// the incumbent meets rootLB (the rest of the tree cannot improve
-	// and the search stops, still exact).
+	// when the LP was skipped or failed), rootLB the global lower bound
+	// (ceil of the LP objective, or the proven optimum in the
+	// reconstruction search; haveRootLB when meaningful), banned the
+	// sets excluded by reduced cost against the current incumbent, and
+	// doneOptimal flips when the incumbent meets rootLB (the rest of
+	// the tree cannot improve and the search stops, still exact).
 	lpZ          float64
 	lpDj         []float64
 	rootLB       int
@@ -732,16 +716,6 @@ type exactSearch struct {
 	doneOptimal  bool
 	rootExcluded []bool
 	forced       []int
-
-	// Frozen root dual-ascent bound state (dual.go): dualPhi[e] is the
-	// per-element penalty max(0, λ·w_e − y_e) of a feasible dual (y, λ)
-	// of the partial-cover LP, dualLambda the multiplier, dualUncov0
-	// the penalty sum over the root's uncovered elements. The per-node
-	// bound is ⌈λ·(target − coveredW) − Σ_{e uncovered} dualPhi[e]⌉,
-	// maintained in O(1) per covered element. nil dualPhi = bound off.
-	dualPhi    []float64
-	dualLambda float64
-	dualUncov0 float64
 
 	// In-search dominance state: setMasks[si] is set si's positive-
 	// weight element bitmap (nil for root-excluded sets).
@@ -1150,7 +1124,7 @@ func (s *exactSearch) boundAndBranch(remaining float64, maxUseful int) (int, int
 	return len(buf), branch
 }
 
-func (s *exactSearch) search(covered bitset, coveredW, dualUncov float64, chosen []int) {
+func (s *exactSearch) search(covered bitset, coveredW float64, chosen []int) {
 	if s.capped || s.doneOptimal || s.aborted {
 		return
 	}
@@ -1210,18 +1184,8 @@ func (s *exactSearch) search(covered bitset, coveredW, dualUncov float64, chosen
 	if len(chosen)+lb >= s.bestLen {
 		return
 	}
-	// The Lagrangian dual-ascent bound is O(1) per node: the frozen
-	// root duals priced against the remaining target.
-	if s.dualPhi != nil {
-		if dlb := s.dualLB(coveredW, dualUncov); dlb > lb {
-			lb = dlb
-			if len(chosen)+lb >= s.bestLen {
-				return
-			}
-		}
-	}
 	// The disjoint-family bound is the costlier one: only consult it on
-	// nodes the cheap bounds failed to prune, and only until it
+	// nodes the additive bound failed to prune, and only until it
 	// reaches pruning strength.
 	if s.elemOrder != nil {
 		if db := s.disjointBound(s.bestLen - len(chosen)); db > lb {
@@ -1238,11 +1202,11 @@ func (s *exactSearch) search(covered bitset, coveredW, dualUncov float64, chosen
 	// independent subtree task. lb is the sharpest bound the node was
 	// scanned with — the task's static abort certificate.
 	if s.frontierDepth >= 0 && s.depth >= s.frontierDepth {
-		s.snapshotTask(covered, coveredW, dualUncov, chosen, len(chosen)+lb)
+		s.snapshotTask(covered, coveredW, chosen, len(chosen)+lb)
 		return
 	}
 	// Include branch first: mimics the greedy and finds incumbents fast.
-	s.include(covered, coveredW, dualUncov, chosen, branch)
+	s.include(covered, coveredW, chosen, branch)
 	// Exclude branch: zeroing the set's residual gain removes it from
 	// the bound, the branch selection and the feasibility sum in one
 	// store (root-excluded sets already sit at gain 0 the same way).
@@ -1259,7 +1223,7 @@ func (s *exactSearch) search(covered bitset, coveredW, dualUncov float64, chosen
 	s.gains[branch] = 0
 	s.excludeDominatedBy(branch, covered)
 	s.depth++
-	s.search(covered, coveredW, dualUncov, chosen)
+	s.search(covered, coveredW, chosen)
 	s.depth--
 	for i := len(s.undoT) - 1; i >= markT; i-- {
 		s.gains[s.undoT[i]] = s.undoG[i]
@@ -1304,9 +1268,9 @@ func (s *exactSearch) excludeDominatedBy(branch int, covered bitset) {
 // residual gains are updated in place and restored exactly afterwards
 // (prior gain values are re-installed from the undo stack in reverse,
 // so backtracking never accumulates float drift).
-func (s *exactSearch) include(covered bitset, coveredW, dualUncov float64, chosen []int, si int) {
+func (s *exactSearch) include(covered bitset, coveredW float64, chosen []int, si int) {
 	markT, markF := len(s.undoT), len(s.flip)
-	w, du := coveredW, dualUncov
+	w := coveredW
 	for _, e := range s.in.Sets[si] {
 		if covered.get(e) {
 			continue
@@ -1320,9 +1284,6 @@ func (s *exactSearch) include(covered bitset, coveredW, dualUncov float64, chose
 		s.flip = append(s.flip, int32(e))
 		we := s.in.weight(e)
 		w += we
-		if s.dualPhi != nil {
-			du -= s.dualPhi[e]
-		}
 		for _, t := range s.elemSets[e] {
 			s.undoT = append(s.undoT, t)
 			s.undoG = append(s.undoG, s.gains[t])
@@ -1330,7 +1291,7 @@ func (s *exactSearch) include(covered bitset, coveredW, dualUncov float64, chose
 		}
 	}
 	s.depth++
-	s.search(covered, w, du, append(chosen, si))
+	s.search(covered, w, append(chosen, si))
 	s.depth--
 	for i := len(s.undoT) - 1; i >= markT; i-- {
 		s.gains[s.undoT[i]] = s.undoG[i]

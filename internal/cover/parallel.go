@@ -28,7 +28,6 @@ type coverTask struct {
 	covered     bitset
 	permCovered bitset
 	coveredW    float64
-	dualUncov   float64
 	chosen      []int
 	gains       []float64
 	// lb is the sharpest static bound computed at the snapshot node:
@@ -40,14 +39,13 @@ type coverTask struct {
 // snapshotTask clones the mutable search state into an independent
 // subtree task. Called in DFS order, so the slice index doubles as the
 // deterministic merge tie-break.
-func (s *exactSearch) snapshotTask(covered bitset, coveredW, dualUncov float64, chosen []int, lb int) {
+func (s *exactSearch) snapshotTask(covered bitset, coveredW float64, chosen []int, lb int) {
 	t := &coverTask{
-		covered:   covered.clone(),
-		coveredW:  coveredW,
-		dualUncov: dualUncov,
-		chosen:    append([]int(nil), chosen...),
-		gains:     append([]float64(nil), s.gains...),
-		lb:        lb,
+		covered:  covered.clone(),
+		coveredW: coveredW,
+		chosen:   append([]int(nil), chosen...),
+		gains:    append([]float64(nil), s.gains...),
+		lb:       lb,
 	}
 	if s.permCovered != nil {
 		t.permCovered = s.permCovered.clone()
@@ -96,9 +94,6 @@ func (s *exactSearch) taskSearch(t *coverTask, budget int, g *atomicMin) *exactS
 		elemSets:     s.elemSets,
 		setMasks:     s.setMasks,
 
-		dualPhi:    s.dualPhi,
-		dualLambda: s.dualLambda,
-
 		gains: t.gains,
 
 		frontierDepth: -1,
@@ -113,7 +108,7 @@ func (s *exactSearch) taskSearch(t *coverTask, budget int, g *atomicMin) *exactS
 	if s.elemOrder != nil {
 		c.disjointUsed = newBitset(len(s.in.Sets))
 	}
-	c.search(t.covered, t.coveredW, t.dualUncov, t.chosen)
+	c.search(t.covered, t.coveredW, t.chosen)
 	return c
 }
 

@@ -93,8 +93,9 @@ func itoa(n int) string {
 
 // TestReductionsPreserveOptimum is the soundness property suite for
 // the set-cover reductions: on 160 seeded random instances, the search
-// (presolve kernelization, dominance and symmetry breaking, Lagrangian
-// duals) must prove the optimal cover size that brute force finds.
+// (presolve kernelization, dominance and symmetry breaking, the
+// additive and disjoint-family bounds) must prove the optimal cover
+// size that brute force finds.
 func TestReductionsPreserveOptimum(t *testing.T) {
 	for seed := int64(0); seed < 160; seed++ {
 		in, target := randomWeighted(seed)

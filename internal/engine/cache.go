@@ -116,38 +116,6 @@ func (c *Cache) SetOnStore(fn func(key string, value any)) {
 	c.mu.Unlock()
 }
 
-// Range calls fn for every retained completed entry, in unspecified
-// order, until fn returns false. In-flight and failed entries are
-// skipped; fn must not call back into the cache.
-//
-// Order is NOT part of the contract and never will be: Range walks the
-// underlying map directly, so consecutive calls may visit entries in
-// different orders. Callers that fold entries into output must either
-// be commutative (counting and summing, as a /metrics-style exporter
-// is) or collect keys and sort before emitting (as anything
-// byte-deterministic must). The WithCacheDir persistent store does not
-// use Range to reload — it reads the directory and Seeds entry by
-// entry, so restart warmth is order-independent too. The contract is
-// pinned by TestRangeOrderContract.
-func (c *Cache) Range(fn func(key string, value any) bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	//placevet:ignore maporder -- Range's contract is explicitly unspecified order (see doc comment); order-sensitive callers must sort, enforced by TestRangeOrderContract
-	for key, e := range c.entries {
-		select {
-		case <-e.done:
-		default:
-			continue // still in flight
-		}
-		if e.err != nil || !e.completed {
-			continue
-		}
-		if !fn(key, e.value) {
-			return
-		}
-	}
-}
-
 // retry re-enters Do after joining a failed flight.
 func (c *Cache) retry(key string, compute func() (any, error)) (any, error) {
 	return c.Do(key, compute)

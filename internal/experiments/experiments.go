@@ -3,8 +3,7 @@
 // (the textual equivalent of the plot) averaged over `seeds` runs, as
 // the paper averages over 20 simulations. cmd/repro prints them and
 // times them for its -bench-json report; bench_test.go at the module
-// root benchmarks them; EXPERIMENTS.md records paper-versus-measured
-// shapes.
+// root benchmarks them.
 //
 // Every multi-seed figure takes the caller's internal/engine runner
 // and fans its seed × sweep-point cells out on it: cells run
@@ -63,9 +62,7 @@ func cachedSolve[T any](ctx context.Context, eng *engine.Runner, key string, com
 // merges the per-cell samples into s in canonical serial order
 // (seed-major, point-minor) — the order the historical seed loops used —
 // so the rendered series is bit-identical for any worker count. A cell
-// may return no samples (a skipped sweep point); cells leave
-// Sample.Rank zero — runSweep stamps every sample with its cell's task
-// index, the canonical merge position.
+// may return no samples (a skipped sweep point).
 func runSweep(ctx context.Context, eng *engine.Runner, s *stats.Series, seeds, points int, cell func(ctx context.Context, seed, point int) []stats.Sample) {
 	results, err := engine.Map(ctx, eng, seeds*points, func(ctx context.Context, i int) ([]stats.Sample, error) {
 		return cell(ctx, i/points, i%points), nil
@@ -75,10 +72,7 @@ func runSweep(ctx context.Context, eng *engine.Runner, s *stats.Series, seeds, p
 		// loops did); Map errors cannot happen here.
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	for i, ss := range results {
-		for j := range ss {
-			ss[j].Rank = i
-		}
+	for _, ss := range results {
 		s.AddSamples(ss...)
 	}
 }
@@ -142,14 +136,14 @@ func Fig7(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
 // Fig8 is the 15-router POP of Figure 8 (71 links, 1980 traffics).
 // Fig8 caps the branch-and-bound at 100k nodes per point: the k = 95%
 // and 100% points of this instance are hard for our solver (CPLEX
-// closes them; see EXPERIMENTS.md); the returned incumbents are upper
-// bounds within ~1 device of optimal and preserve the figure's shape.
-// The budget was retuned from 400k after the search was strengthened
-// (presolve, dominance, Lagrangian duals): across a 20-seed sweep of
-// all six k points, 100k reproduces the 400k incumbents at 118 of 120
-// points — the two exceptions (seed 9 k=0.95, seed 13 k=1.00) sit one
-// device higher, and the larger budget only ever held incumbents
-// there, not optimality proofs — at a quarter of the node cost.
+// closes them); the returned incumbents are upper bounds within ~1
+// device of optimal and preserve the figure's shape. The budget was
+// retuned from 400k after the search was strengthened (presolve,
+// dominance): across a 20-seed sweep of all six k points, 100k
+// reproduces the 400k incumbents at 118 of 120 points — the two
+// exceptions (seed 9 k=0.95, seed 13 k=1.00) sit one device higher,
+// and the larger budget only ever held incumbents there, not
+// optimality proofs — at a quarter of the node cost.
 func Fig8(ctx context.Context, eng *engine.Runner, seeds int) *stats.Series {
 	return PassivePlacement(ctx, eng, topology.Paper15, "Figure 8 (15-router POP)", seeds, 100_000)
 }

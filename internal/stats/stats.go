@@ -78,41 +78,25 @@ func Max(xs []float64) float64 {
 
 // Series is one experiment sweep: for every x value (e.g. the monitored
 // percentage of Figures 7–8, or |V_B| of Figures 9–11), a named set of
-// per-seed samples per algorithm.
-//
-// Every sample carries a rank — its position in the canonical serial
-// order of the experiment (the engine uses the task index). All summary
-// statistics are computed over the rank-sorted sample sequence, so
-// merging partial series in ANY order produces bit-identical tables:
-// accumulation is order-independent as long as ranks are.
+// per-seed samples per algorithm. Samples are kept in the order they
+// are added, and every summary statistic is computed in that order, so
+// a series built in the same order renders bit-identical tables.
 type Series struct {
 	// Title and XLabel/YLabel describe the figure being reproduced.
 	Title, XLabel, YLabel string
 	// Columns are algorithm names, in display order.
 	Columns []string
 	points  []seriesPoint
-	// seq numbers plain Add calls so a serially built series is its own
-	// canonical order.
-	seq int
 }
 
 type seriesPoint struct {
 	x       float64
-	samples map[string][]sample
+	samples map[string][]float64
 }
 
-// sample is one ranked observation of one column.
-type sample struct {
-	rank  int
-	value float64
-}
-
-// Sample is one ranked observation, the unit the engine's scenario
-// cells return: Rank is the sample's position in the canonical serial
-// sweep order. Schedulers stamp it (the experiments' runSweep assigns
-// each cell's task index); cells producing samples leave it zero.
+// Sample is one observation of one column at one x position, the unit
+// the engine's scenario cells return.
 type Sample struct {
-	Rank   int
 	X      float64
 	Column string
 	Value  float64
@@ -123,17 +107,9 @@ func NewSeries(title, xlabel, ylabel string, columns ...string) *Series {
 	return &Series{Title: title, XLabel: xlabel, YLabel: ylabel, Columns: columns}
 }
 
-// Add records one sample of one algorithm at an x position, ranked
-// after every sample already in the series (serial accumulation).
+// Add records one sample of one algorithm at an x position, after every
+// sample already in the series.
 func (s *Series) Add(x float64, column string, value float64) {
-	s.AddRanked(s.seq, x, column, value)
-}
-
-// AddRanked records one sample with an explicit rank. Use distinct
-// ranks across concurrently produced samples (e.g. the engine task
-// index): evaluation sorts samples by rank, which is what makes Merge
-// order-independent. Samples with equal ranks keep insertion order.
-func (s *Series) AddRanked(rank int, x float64, column string, value float64) {
 	known := false
 	for _, c := range s.Columns {
 		if c == column {
@@ -144,89 +120,31 @@ func (s *Series) AddRanked(rank int, x float64, column string, value float64) {
 	if !known {
 		panic(fmt.Sprintf("stats: unknown column %q", column))
 	}
-	if rank >= s.seq {
-		s.seq = rank + 1
-	}
 	for i := range s.points {
 		if s.points[i].x == x {
-			s.points[i].samples[column] = insertByRank(s.points[i].samples[column], sample{rank, value})
+			s.points[i].samples[column] = append(s.points[i].samples[column], value)
 			return
 		}
 	}
 	s.points = append(s.points, seriesPoint{
 		x:       x,
-		samples: map[string][]sample{column: {{rank, value}}},
+		samples: map[string][]float64{column: {value}},
 	})
 }
 
-// insertByRank keeps a column's samples rank-sorted on insert (after
-// any equal ranks, preserving insertion order), so evaluation never
-// re-sorts. Serial accumulation appends in increasing rank, making the
-// common case O(1).
-func insertByRank(ss []sample, sm sample) []sample {
-	i := len(ss)
-	for i > 0 && ss[i-1].rank > sm.rank {
-		i--
-	}
-	ss = append(ss, sample{})
-	copy(ss[i+1:], ss[i:])
-	ss[i] = sm
-	return ss
-}
-
-// AddSamples records a batch of ranked samples.
+// AddSamples records a batch of samples in order.
 func (s *Series) AddSamples(samples ...Sample) {
 	for _, sm := range samples {
-		s.AddRanked(sm.Rank, sm.X, sm.Column, sm.Value)
+		s.Add(sm.X, sm.Column, sm.Value)
 	}
-}
-
-// Merge folds the samples of every other series into s. The others must
-// have the same column set. Merging is order-independent: as long as the
-// partial series were built with disjoint (or globally meaningful)
-// ranks, any merge order yields a bit-identical table, because all
-// statistics are computed over rank-sorted samples.
-func (s *Series) Merge(others ...*Series) error {
-	for _, o := range others {
-		if len(o.Columns) != len(s.Columns) {
-			return fmt.Errorf("stats: merging series with %d columns into %d", len(o.Columns), len(s.Columns))
-		}
-		for i, c := range o.Columns {
-			if s.Columns[i] != c {
-				return fmt.Errorf("stats: column mismatch %q vs %q", c, s.Columns[i])
-			}
-		}
-		for _, p := range o.points {
-			for _, c := range o.Columns {
-				for _, sm := range p.samples[c] {
-					s.AddRanked(sm.rank, p.x, c, sm.value)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// valuesAt returns the rank-ordered values of a column at a point
-// (samples are kept rank-sorted on insert).
-func (p seriesPoint) valuesAt(column string) []float64 {
-	ss, ok := p.samples[column]
-	if !ok || len(ss) == 0 {
-		return nil
-	}
-	out := make([]float64, len(ss))
-	for i, sm := range ss {
-		out[i] = sm.value
-	}
-	return out
 }
 
 // MeanAt returns the mean of a column at x (NaN when absent) — used by
-// tests and EXPERIMENTS.md generation.
+// tests.
 func (s *Series) MeanAt(x float64, column string) float64 {
 	for _, p := range s.points {
 		if p.x == x {
-			if xs := p.valuesAt(column); xs != nil {
+			if xs := p.samples[column]; len(xs) > 0 {
 				return Mean(xs)
 			}
 		}
@@ -261,7 +179,7 @@ func (s *Series) Write(w io.Writer) error {
 	for _, p := range pts {
 		fmt.Fprintf(&b, "%-12g", p.x)
 		for _, c := range s.Columns {
-			xs := p.valuesAt(c)
+			xs := p.samples[c]
 			if len(xs) == 0 {
 				fmt.Fprintf(&b, " %18s", "-")
 				continue

@@ -99,85 +99,6 @@ func TestSeriesWrite(t *testing.T) {
 	}
 }
 
-// writeString renders a series or fails the test.
-func writeString(t *testing.T, s *Series) string {
-	t.Helper()
-	var sb strings.Builder
-	if err := s.Write(&sb); err != nil {
-		t.Fatal(err)
-	}
-	return sb.String()
-}
-
-func TestSeriesMergeOrderIndependent(t *testing.T) {
-	// Values chosen so a naive append-order mean would differ in the
-	// last bit between orders (floating-point addition is not
-	// associative); rank-sorted evaluation must erase the difference.
-	build := func() *Series { return NewSeries("fig", "x", "y", "a", "b") }
-	mk := func(ranks []int) *Series {
-		s := build()
-		for _, r := range ranks {
-			s.AddRanked(r, 10, "a", 0.1*float64(r+1))
-			s.AddRanked(r, 10, "b", 1e16/float64(r+3))
-			s.AddRanked(r, 20, "a", float64(r)*0.3)
-		}
-		return s
-	}
-	// The canonical serial series: all ranks in order in one series.
-	serial := mk([]int{0, 1, 2, 3, 4, 5})
-	// Two partial series with interleaved ranks, merged in both orders.
-	evens, odds := mk([]int{0, 2, 4}), mk([]int{1, 3, 5})
-	ab := build()
-	if err := ab.Merge(evens, odds); err != nil {
-		t.Fatal(err)
-	}
-	ba := build()
-	if err := ba.Merge(odds, evens); err != nil {
-		t.Fatal(err)
-	}
-	want := writeString(t, serial)
-	if got := writeString(t, ab); got != want {
-		t.Fatalf("evens+odds differs from serial:\n%s\nwant:\n%s", got, want)
-	}
-	if got := writeString(t, ba); got != want {
-		t.Fatalf("odds+evens differs from serial:\n%s\nwant:\n%s", got, want)
-	}
-	if serial.MeanAt(10, "a") != ab.MeanAt(10, "a") || serial.MeanAt(10, "b") != ba.MeanAt(10, "b") {
-		t.Fatal("means depend on merge order")
-	}
-}
-
-func TestSeriesMergeColumnMismatch(t *testing.T) {
-	s := NewSeries("fig", "x", "y", "a", "b")
-	if err := s.Merge(NewSeries("fig", "x", "y", "a")); err == nil {
-		t.Fatal("column-count mismatch accepted")
-	}
-	if err := s.Merge(NewSeries("fig", "x", "y", "a", "c")); err == nil {
-		t.Fatal("column-name mismatch accepted")
-	}
-}
-
-func TestAddSamplesRanked(t *testing.T) {
-	s := NewSeries("fig", "x", "y", "a")
-	s.AddSamples(
-		Sample{Rank: 2, X: 1, Column: "a", Value: 30},
-		Sample{Rank: 0, X: 1, Column: "a", Value: 10},
-		Sample{Rank: 1, X: 1, Column: "a", Value: 20},
-	)
-	o := NewSeries("fig", "x", "y", "a")
-	o.Add(1, "a", 10)
-	o.Add(1, "a", 20)
-	o.Add(1, "a", 30)
-	if writeString(t, s) != writeString(t, o) {
-		t.Fatal("ranked adds differ from serial adds")
-	}
-	// Plain Add after ranked adds must rank after everything seen.
-	s.Add(1, "a", 40)
-	if got := s.MeanAt(1, "a"); got != 25 {
-		t.Fatalf("mean = %g, want 25", got)
-	}
-}
-
 // Property: Mean is within [Min, Max] and StdDev is non-negative.
 func TestSummaryProperty(t *testing.T) {
 	f := func(xs []float64) bool {

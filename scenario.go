@@ -38,14 +38,6 @@ func GenerateScenario(family string, size int, seed int64) (*Scenario, error) {
 	return scenario.Generate(family, size, seed)
 }
 
-// ScenarioBatch generates one single-routed instance per seed of one
-// family and size, as a Problem slice ready for Runner.SolveBatch —
-// the batch form the scenario sweeps use:
-//
-//	problems, err := repro.ScenarioBatch("waxman", 40, []int64{1, 2, 3})
-//	results, err := repro.SolveBatch(ctx, "tap/portfolio", problems,
-//	        repro.WithCoverage(0.95))
-//
 // ChurnSteps builds a churn replay chain from a scenario: element 0 is
 // the scenario's base instance, element i > 0 is the instance after i
 // successive traffic.Churn mutations (drop/add/rescale, seeded from
@@ -76,6 +68,13 @@ func ChurnSteps(s *Scenario, steps int) (chain []*Instance, deltas []ChurnDelta,
 	return chain, deltas, nil
 }
 
+// ScenarioBatch generates one single-routed instance per seed of one
+// family and size, as a Problem slice ready for Runner.SolveBatch —
+// the batch form the scenario sweeps use:
+//
+//	problems, err := repro.ScenarioBatch("waxman", 40, []int64{1, 2, 3})
+//	results, err := repro.SolveBatch(ctx, "tap/portfolio", problems,
+//	        repro.WithCoverage(0.95))
 func ScenarioBatch(family string, size int, seeds []int64) ([]Problem, error) {
 	problems := make([]Problem, 0, len(seeds))
 	for _, seed := range seeds {
