@@ -104,6 +104,12 @@ var Inf = math.Inf(1)
 
 // Problem is a linear program under construction. Create one with
 // NewProblem, add variables and constraints, then call Solve.
+//
+// A Problem keeps the simplex workspace of its last solve (the
+// standard-form matrix, the LU and scratch buffers, and the factor of
+// the last warm-start seed) and reuses it until a variable or
+// constraint is added or removed; SetBounds keeps it. Solves of one
+// Problem must therefore not run concurrently.
 type Problem struct {
 	sense        Sense
 	names        []string
@@ -112,6 +118,8 @@ type Problem struct {
 	cost         []float64
 	rows         []row
 	extractDuals bool
+
+	ws *revised // nil until the first solve after a shape change
 }
 
 type row struct {
@@ -135,6 +143,7 @@ func (p *Problem) AddVariable(name string, lower, upper, cost float64) Var {
 	if lower > upper {
 		panic(fmt.Sprintf("lp: variable %q has empty bound range [%g,%g]", name, lower, upper))
 	}
+	p.ws = nil
 	p.names = append(p.names, name)
 	p.lower = append(p.lower, lower)
 	p.upper = append(p.upper, upper)
@@ -187,6 +196,7 @@ func (p *Problem) TruncateConstraints(n int) {
 	if n < 0 || n > len(p.rows) {
 		panic(fmt.Sprintf("lp: truncate to %d of %d rows", n, len(p.rows)))
 	}
+	p.ws = nil
 	p.rows = p.rows[:n]
 }
 
@@ -207,7 +217,19 @@ func (p *Problem) AddConstraint(rel Rel, rhs float64, terms ...Term) {
 	}
 	cp := make([]Term, len(terms))
 	copy(cp, terms)
+	p.ws = nil
 	p.rows = append(p.rows, row{terms: cp, rel: rel, rhs: rhs})
+}
+
+// workspace returns p's simplex workspace reset for a new solve,
+// building it first when p has none for its current shape.
+func (p *Problem) workspace() *revised {
+	if p.ws == nil {
+		p.ws = newRevised(p)
+	} else {
+		p.ws.reset(p)
+	}
+	return p.ws
 }
 
 // Solution is the result of a successful or failed solve.
@@ -220,12 +242,17 @@ type Solution struct {
 	// Iterations is the total simplex iterations over both phases
 	// (primal and, on warm starts, dual).
 	Iterations int
-	// Refactorizations counts basis LU refactorizations.
+	// Refactorizations counts the basis LU factorizations this solve
+	// computed. A warm start that reuses the factor the previous seed
+	// of the same Basis computed does not count it.
 	Refactorizations int
 	// DevexResets counts Devex reference-framework resets.
 	DevexResets int
-	// Warm reports that the solve completed on the warm-started path
-	// (dual-simplex restoration from a seeded basis, no phase 1).
+	// Warm reports that the solve completed on the warm-started path:
+	// dual-simplex restoration from a seeded basis, no phase 1. A warm
+	// Infeasible is backed by a Farkas certificate checked against the
+	// rows and bounds; an infeasibility claim that fails the check is
+	// re-solved cold, and Warm is then false.
 	Warm bool
 	// Duals holds one dual multiplier per constraint row and
 	// ReducedCosts one reduced cost per structural variable, both in the
@@ -297,8 +324,10 @@ func (p *Problem) Evaluate(x []float64) (objective float64, feasible bool) {
 	return objective, true
 }
 
-// Solve runs the two-phase simplex and returns the solution. The Problem
-// is not modified and may be solved again (e.g. after SetBounds).
+// Solve runs the two-phase simplex and returns the solution. The
+// model is not modified and may be solved again (e.g. after
+// SetBounds); the solve updates only p's workspace, so solves of one
+// Problem must not run concurrently.
 func (p *Problem) Solve() (*Solution, error) {
 	return p.SolveContext(context.Background())
 }
@@ -316,7 +345,7 @@ func (p *Problem) SolveContext(ctx context.Context) (*Solution, error) {
 // (the seed is dual feasible when it comes from an optimal solve of the
 // same problem with different bounds, the branch-and-bound case) and the
 // solve falls back to a cold start whenever the warm path runs into
-// numerical trouble.
+// numerical trouble or claims infeasibility without a certificate.
 func (p *Problem) SolveContextFrom(ctx context.Context, basis *Basis) (*Solution, error) {
 	if len(p.names) == 0 {
 		return nil, ErrNoVariables

@@ -49,7 +49,10 @@ type eta struct {
 	piv float64 // alpha[r]
 }
 
-// revised is the working state of the sparse revised simplex.
+// revised is the working state of the sparse revised simplex. A Problem
+// keeps one as its workspace and reuses it for every solve while its
+// rows and variables are unchanged (see Problem.workspace): the matrix
+// and every buffer are allocated once, and reset starts each solve.
 type revised struct {
 	m, n int
 
@@ -60,6 +63,7 @@ type revised struct {
 	lower  []float64
 	upper  []float64
 	cost   []float64 // phase-2 costs (sense-adjusted)
+	cost1  []float64 // phase-1 costs: 1 on the artificials, else 0
 
 	basis []int // column basic in each row
 	xB    []float64
@@ -69,10 +73,21 @@ type revised struct {
 
 	// Basis inverse: sparse LU of the basis (triangular peeling plus a
 	// dense bump, see lu.go), refreshed every maxEtas pivots, plus the
-	// eta file accumulated since.
-	lu      luFactor
+	// eta file accumulated since. lu is the factor in use: own, which
+	// every refactorization writes, or seedLU, which seedBasis installs.
+	lu      *luFactor
+	own     luFactor
 	etas    []eta
 	factors int // Refactorizations counter
+
+	// The seed slot: seedLU factors the basis of seed, the last seeded
+	// Basis, and seedNeg records which of its basic artificials had a
+	// −1 coefficient. Branch-and-bound seeds both children of a node,
+	// and every strong-branching probe, with the same Basis, one solve
+	// after another.
+	seed    *Basis
+	seedNeg []bool // per basis slot
+	seedLU  luFactor
 
 	// Devex reference-framework weights.
 	weight []float64
@@ -93,15 +108,12 @@ type revised struct {
 	// Scratch vectors (no allocation in the pivot loop).
 	sAlpha []float64 // FTRAN'd entering column, length m
 	sRho   []float64 // BTRAN'd unit vector, length m
-	sWork  []float64 // LU substitution scratch, length m
 	sArj   []float64 // pivot row over nonbasic columns, length n
 }
 
 // newRevised converts a Problem into simplex standard form: min c·x
 // s.t. Ax = b, l ≤ x ≤ u, slacks for inequality rows, one artificial
-// per row. The artificial's coefficient is ±1, chosen so its initial
-// value (the row residual with every other column at its bound) is
-// nonnegative.
+// per row, then resets it for a first solve.
 func newRevised(p *Problem) *revised {
 	m := len(p.rows)
 	nStruct := len(p.names)
@@ -122,41 +134,25 @@ func newRevised(p *Problem) *revised {
 		lower:      make([]float64, n),
 		upper:      make([]float64, n),
 		cost:       make([]float64, n),
+		cost1:      make([]float64, n),
 		basis:      make([]int, m),
 		xB:         make([]float64, m),
+		seedNeg:    make([]bool, m),
 		weight:     make([]float64, n),
 		dj:         make([]float64, n),
 		maxIter:    200*(m+n) + 5000,
 		blandLimit: 60,
 		sAlpha:     make([]float64, m),
 		sRho:       make([]float64, m),
-		sWork:      make([]float64, m),
 		sArj:       make([]float64, n),
 	}
-
-	for j := 0; j < nStruct; j++ {
-		rv.lower[j] = p.lower[j]
-		rv.upper[j] = p.upper[j]
-		c := p.cost[j]
-		if p.sense == Maximize {
-			c = -c
-		}
-		rv.cost[j] = c
-	}
-	for j := nStruct; j < n; j++ {
-		rv.lower[j] = 0
-		rv.upper[j] = Inf
-	}
-	for j := 0; j < rv.artBase; j++ {
-		rv.status[j] = atLower
-	}
-	for j := range rv.weight {
-		rv.weight[j] = 1
+	for j := rv.artBase; j < n; j++ {
+		rv.cost1[j] = 1
 	}
 
 	// Build the CSC matrix: structural columns (terms gathered per
 	// column, duplicates accumulated), then slack singletons, then
-	// artificial singletons signed by the row residual.
+	// artificial singletons, whose signs reset sets.
 	colEntries := make([][]int32, nStruct)
 	colVals := make([][]float64, nStruct)
 	for i, r := range p.rows {
@@ -198,11 +194,49 @@ func newRevised(p *Problem) *revised {
 			slack++
 		}
 	}
-	// Close the last slack column so the residual pass below can read
-	// every non-artificial column (the first artificial push rewrites
-	// this same colPtr entry with the same value).
-	rv.cols.colPtr[rv.artBase] = int32(len(rv.cols.rowIdx))
-	resid := make([]float64, m)
+	for i := 0; i < m; i++ {
+		push(rv.artBase+i, []int32{int32(i)}, []float64{1})
+	}
+	rv.cols.colPtr[n] = int32(len(rv.cols.rowIdx))
+	rv.reset(p)
+	return rv
+}
+
+// reset starts a solve of p: bounds and sense-adjusted costs from p,
+// every non-artificial column nonbasic at its lower bound, Devex
+// weights 1, reduced costs zero, counters and eta file empty, and the
+// all-artificial basis. Each artificial's coefficient is ±1, chosen
+// from p's current lower bounds so that its initial value (the row
+// residual with every other column at its bound) is nonnegative. It is
+// the only initialization: a reused workspace starts each solve in the
+// state a fresh one would. The seed slot survives it.
+func (rv *revised) reset(p *Problem) {
+	for j := 0; j < rv.nStruct; j++ {
+		rv.lower[j] = p.lower[j]
+		rv.upper[j] = p.upper[j]
+		c := p.cost[j]
+		if p.sense == Maximize {
+			c = -c
+		}
+		rv.cost[j] = c
+	}
+	for j := rv.nStruct; j < rv.n; j++ {
+		rv.lower[j] = 0
+		rv.upper[j] = Inf
+		rv.cost[j] = 0
+	}
+	for j := 0; j < rv.artBase; j++ {
+		rv.status[j] = atLower
+	}
+	for j := range rv.weight {
+		rv.weight[j] = 1
+		rv.dj[j] = 0
+	}
+	rv.djOK = false
+	rv.etas = rv.etas[:0]
+	rv.factors, rv.resets, rv.iters, rv.bland = 0, 0, 0, 0
+
+	resid := rv.xB
 	copy(resid, rv.rhs)
 	for j := 0; j < rv.artBase; j++ {
 		if xj := rv.lower[j]; !StructZero(xj) {
@@ -212,19 +246,17 @@ func newRevised(p *Problem) *revised {
 			}
 		}
 	}
-	for i := 0; i < m; i++ {
+	for i := 0; i < rv.m; i++ {
 		sign := 1.0
 		if resid[i] < 0 {
 			sign = -1
 		}
 		art := rv.artBase + i
-		push(art, []int32{int32(i)}, []float64{sign})
+		rv.cols.val[rv.cols.colPtr[art]] = sign
 		rv.basis[i] = art
 		rv.status[art] = basic
 		rv.xB[i] = math.Abs(resid[i])
 	}
-	rv.cols.colPtr[n] = int32(len(rv.cols.rowIdx))
-	return rv
 }
 
 // ---- basis inverse: LU + eta file ----
@@ -233,7 +265,8 @@ func newRevised(p *Problem) *revised {
 // lu.go) and clears the eta file. It returns false when the basis is
 // numerically singular.
 func (rv *revised) refactorize() bool {
-	if !rv.lu.factor(&rv.cols, rv.basis) {
+	rv.lu = &rv.own
+	if !rv.own.factor(&rv.cols, rv.basis) {
 		return false
 	}
 	rv.etas = rv.etas[:0]
@@ -280,17 +313,26 @@ func (rv *revised) btran(y []float64) {
 // file, refactorizing when the file is full. It returns false on a
 // singular refactorization.
 func (rv *revised) appendEta(r int, alpha []float64) bool {
-	if len(rv.etas) >= maxEtas {
+	k := len(rv.etas)
+	if k >= maxEtas {
 		return rv.refactorize()
 	}
-	et := eta{r: int32(r), piv: alpha[r]}
+	// Reuse the idx/val storage of an eta a previous refactorization or
+	// solve dropped.
+	if k < cap(rv.etas) {
+		rv.etas = rv.etas[:k+1]
+	} else {
+		rv.etas = append(rv.etas, eta{})
+	}
+	et := &rv.etas[k]
+	et.r, et.piv = int32(r), alpha[r]
+	et.idx, et.val = et.idx[:0], et.val[:0]
 	for i, v := range alpha {
 		if i != r && math.Abs(v) > epsDrop {
 			et.idx = append(et.idx, int32(i))
 			et.val = append(et.val, v)
 		}
 	}
-	rv.etas = append(rv.etas, et)
 	return true
 }
 
@@ -602,11 +644,7 @@ func (rv *revised) phase1() Status {
 	if !rv.refactorize() {
 		return IterLimit
 	}
-	c := make([]float64, rv.n)
-	for j := rv.artBase; j < rv.n; j++ {
-		c[j] = 1
-	}
-	st := rv.optimize(c)
+	st := rv.optimize(rv.cost1)
 	if st == IterLimit || st == Canceled {
 		return st
 	}

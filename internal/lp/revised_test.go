@@ -2,8 +2,10 @@ package lp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -151,9 +153,12 @@ func TestBealeCycling(t *testing.T) {
 // TestWarmStartAgreesWithCold re-solves random LPs after a
 // branch-style bound tightening, once cold and once warm-started from
 // the parent basis, and requires identical statuses and objectives.
-// This is the contract the branch-and-bound MIP relies on.
+// This is the contract the branch-and-bound MIP relies on. A third of
+// the children also pin every variable of one row to 0, which makes
+// them infeasible, so the warm path's certified infeasibility claims
+// are held to the cold answer too.
 func TestWarmStartAgreesWithCold(t *testing.T) {
-	warmUsed := 0
+	warmUsed, certified := 0, 0
 	for seed := int64(0); seed < 150; seed++ {
 		rng := rand.New(rand.NewSource(seed * 31))
 		build := func() *Problem {
@@ -186,17 +191,28 @@ func TestWarmStartAgreesWithCold(t *testing.T) {
 		if basis == nil {
 			t.Fatalf("seed %d: optimal sparse solve returned no basis", seed)
 		}
-		// Branch: pin one variable to 0 or 1.
+		// Branch: pin one variable to 0 or 1, and in a third of the
+		// draws every variable of one row to 0.
 		v := Var(rng.Intn(parent.NumVariables()))
 		side := float64(rng.Intn(2))
-		parent.SetBounds(v, side, side)
+		var zeroed []Term
+		if rng.Intn(3) == 0 {
+			_, _, zeroed = parent.ConstraintRow(rng.Intn(parent.NumConstraints()))
+		}
+		pin := func(p *Problem) {
+			p.SetBounds(v, side, side)
+			for _, t := range zeroed {
+				p.SetBounds(t.Var, 0, 0)
+			}
+		}
+		pin(parent)
 
 		warm, err := parent.SolveContextFrom(context.Background(), basis)
 		if err != nil {
 			t.Fatalf("seed %d: warm: %v", seed, err)
 		}
 		cold := build()
-		cold.SetBounds(v, side, side)
+		pin(cold)
 		cs, err := cold.Solve()
 		if err != nil {
 			t.Fatalf("seed %d: cold: %v", seed, err)
@@ -209,11 +225,228 @@ func TestWarmStartAgreesWithCold(t *testing.T) {
 		}
 		if warm.Warm {
 			warmUsed++
+			if warm.Status == Infeasible {
+				certified++
+			}
 		}
 	}
 	if warmUsed == 0 {
 		t.Fatal("warm path never engaged across 150 seeds")
 	}
+	if certified == 0 {
+		t.Fatal("no warm infeasibility claim was certified across 150 seeds")
+	}
+}
+
+// TestFarkasCertificate checks the infeasibility check on its own: a
+// valid ρ proves a small infeasible LP, the same ρ is rejected once the
+// bounds are relaxed so the LP is feasible, and BTRAN-sized noise on a
+// row with an unbounded slack does not stop the proof.
+func TestFarkasCertificate(t *testing.T) {
+	// x + y ≥ 3 with x, y ∈ [0, 1]: with ρ = (1, 0), x + y − s = 3
+	// for s ≥ 0 puts ρ·A·(x, y, s) in (−∞, 2], away from ρ·b = 3. The
+	// second row, x − y ≤ 5, has a slack in [0, ∞).
+	p := NewProblem(Minimize)
+	x := p.AddVariable("x", 0, 1, 1)
+	y := p.AddVariable("y", 0, 1, 1)
+	p.AddConstraint(GE, 3, Term{x, 1}, Term{y, 1})
+	p.AddConstraint(LE, 5, Term{x, 1}, Term{y, -1})
+	if s, _ := p.Solve(); s.Status != Infeasible {
+		t.Fatalf("cold solve: %v, want infeasible", s.Status)
+	}
+	if !farkasCertified(p, []float64{1, 0}) {
+		t.Fatal("valid certificate rejected")
+	}
+	// 1e-14 on the second row would add +1e-14·s to ρ·A·(x, y, s),
+	// unbounded above, unless it is zeroed first.
+	if !farkasCertified(p, []float64{1, 1e-14}) {
+		t.Fatal("certificate with noise on an unbounded slack rejected")
+	}
+	if farkasCertified(p, []float64{0, 0}) {
+		t.Fatal("zero vector accepted as a certificate")
+	}
+	// x ∈ [0, 2] makes x = 2, y = 1 feasible.
+	p.SetBounds(x, 0, 2)
+	if s, _ := p.Solve(); s.Status != Optimal {
+		t.Fatalf("relaxed cold solve: %v, want optimal", s.Status)
+	}
+	for _, rho := range [][]float64{{1, 0}, {1, 1e-14}} {
+		if farkasCertified(p, rho) {
+			t.Fatalf("ρ = %v accepted on a feasible LP", rho)
+		}
+	}
+}
+
+// TestWorkspaceReuseBitIdentical drives one Problem through random
+// bound changes and re-solves, warm-started from earlier solutions,
+// with sibling seeds back to back and the occasional added or removed
+// row, and requires every Solution to equal, field for field, what a
+// fresh copy of the Problem returns for the same bounds and seed. Only
+// Refactorizations may differ, and only downward: a seed slot reuse is
+// not a factorization.
+func TestWorkspaceReuseBitIdentical(t *testing.T) {
+	var reuses, certified, warm int
+	for seed := int64(0); seed < 80; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p, up := workspaceLP(rng)
+		rows := p.NumConstraints()
+		var bases []*Basis
+		var prev *Basis
+		for step := 0; step < 40; step++ {
+			switch r := rng.Intn(20); {
+			case r == 0:
+				n := p.NumVariables()
+				p.AddConstraint(GE, rng.Float64(), Term{Var(rng.Intn(n)), 1}, Term{Var(rng.Intn(n)), 1 + rng.Float64()})
+			case r == 1:
+				p.TruncateConstraints(rows)
+			}
+			p.SetExtractDuals(rng.Intn(4) == 0)
+			var from *Basis
+			switch r := rng.Intn(10); {
+			case r < 3 && prev != nil:
+				// A sibling: the previous solve's seed, one variable's
+				// bounds moved.
+				from = prev
+			case r < 6 && len(bases) > 0:
+				from = bases[len(bases)-1]
+			case r < 8 && len(bases) > 0:
+				from = bases[rng.Intn(len(bases))]
+			}
+			for k := 1 + rng.Intn(2); k > 0; k-- {
+				j := rng.Intn(p.NumVariables())
+				lo, hi := 0.0, up[j]
+				switch rng.Intn(4) {
+				case 0:
+					hi = 0
+				case 1:
+					lo = math.Min(1, hi)
+					hi = lo
+				case 2:
+					lo = math.Min(1, hi)
+				}
+				p.SetBounds(Var(j), lo, hi)
+			}
+			want, _ := freshCopy(p).SolveContextFrom(context.Background(), from)
+			got, _ := p.SolveContextFrom(context.Background(), from)
+			if diff := solutionDiff(got, want); diff != "" {
+				t.Fatalf("seed %d step %d: reused workspace differs from a fresh copy: %s", seed, step, diff)
+			}
+			if got.Refactorizations < want.Refactorizations {
+				reuses++
+			}
+			if got.Warm {
+				warm++
+				if got.Status == Infeasible {
+					certified++
+				}
+			}
+			if got.Status == Optimal {
+				bases = append(bases, got.Basis())
+			}
+			prev = from
+		}
+	}
+	t.Logf("%d warm solves, %d seed slot reuses, %d certified infeasible", warm, reuses, certified)
+	if reuses == 0 || certified == 0 {
+		t.Fatalf("the draws never reused the seed slot (%d) or certified infeasibility (%d)", reuses, certified)
+	}
+}
+
+// workspaceLP draws a covering-style LP for the workspace test: GE rows
+// over variables in [0, 1], [0, 2.5] or [0, ∞), some LE rows, and
+// costs that keep every draw bounded. Half the draws repeat an equality
+// row x_a − x_b = c, which leaves an artificial basic in the optimal
+// basis, with a sign that moves with the lower bounds of x_a and x_b.
+// It returns each variable's original upper bound.
+func workspaceLP(rng *rand.Rand) (*Problem, []float64) {
+	sense := Minimize
+	if rng.Intn(2) == 0 {
+		sense = Maximize
+	}
+	p := NewProblem(sense)
+	n := 3 + rng.Intn(8)
+	up := make([]float64, n)
+	for j := range up {
+		up[j] = []float64{1, 1, 2.5, Inf}[rng.Intn(4)]
+		c := 0.5 + rng.Float64()
+		if sense == Maximize {
+			c = -c
+		}
+		p.AddVariable("x", 0, up[j], c)
+	}
+	for i := 0; i < n; i++ {
+		var terms []Term
+		for j := 0; j < n; j++ {
+			if rng.Intn(2) == 0 {
+				terms = append(terms, Term{Var(j), 1 + rng.Float64()})
+			}
+		}
+		if len(terms) == 0 {
+			terms = append(terms, Term{Var(i), 1})
+		}
+		if rng.Intn(4) == 0 {
+			p.AddConstraint(LE, 2+rng.Float64()*4, terms...)
+		} else {
+			p.AddConstraint(GE, rng.Float64()*2, terms...)
+		}
+	}
+	if rng.Intn(2) == 0 {
+		a, b, c := Var(rng.Intn(n)), Var(rng.Intn(n)), rng.Float64()
+		for k := 0; k < 2; k++ {
+			p.AddConstraint(EQ, c, Term{a, 1}, Term{b, -1})
+		}
+	}
+	return p, up
+}
+
+// freshCopy rebuilds p through the public API, with its current bounds.
+func freshCopy(p *Problem) *Problem {
+	q := NewProblem(p.Sense())
+	for j := 0; j < p.NumVariables(); j++ {
+		lo, hi := p.Bounds(Var(j))
+		q.AddVariable(p.VarName(Var(j)), lo, hi, p.Cost(Var(j)))
+	}
+	for i := 0; i < p.NumConstraints(); i++ {
+		rel, rhs, terms := p.ConstraintRow(i)
+		q.AddConstraint(rel, rhs, terms...)
+	}
+	q.SetExtractDuals(p.extractDuals)
+	return q
+}
+
+// solutionDiff names the first field in which a and b differ, every
+// float compared bit for bit, or returns "". Refactorizations is left
+// to the caller.
+func solutionDiff(a, b *Solution) string {
+	bits := func(v []float64) []uint64 {
+		if v == nil {
+			return nil
+		}
+		out := make([]uint64, len(v))
+		for i, x := range v {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	for _, f := range []struct {
+		name string
+		a, b any
+	}{
+		{"Status", a.Status, b.Status},
+		{"Objective", math.Float64bits(a.Objective), math.Float64bits(b.Objective)},
+		{"X", bits(a.X), bits(b.X)},
+		{"Iterations", a.Iterations, b.Iterations},
+		{"DevexResets", a.DevexResets, b.DevexResets},
+		{"Warm", a.Warm, b.Warm},
+		{"Duals", bits(a.Duals), bits(b.Duals)},
+		{"ReducedCosts", bits(a.ReducedCosts), bits(b.ReducedCosts)},
+		{"Basis", a.Basis(), b.Basis()},
+	} {
+		if !reflect.DeepEqual(f.a, f.b) {
+			return fmt.Sprintf("%s: %v vs %v", f.name, f.a, f.b)
+		}
+	}
+	return ""
 }
 
 // TestWarmStartShapeMismatchFallsBack: a basis from a different problem

@@ -24,6 +24,15 @@ const (
 	// devexMaxWeight is the Devex reference-weight blow-up threshold:
 	// when any weight exceeds it the reference framework is reset.
 	devexMaxWeight = 1e7
+	// farkasDrop zeroes the entries of an infeasibility certificate ρ at
+	// or below this share of max|ρ| (farkasCertified).
+	farkasDrop = 1e-9
+	// farkasMargin and farkasRel set how far ρ·b must lie outside the
+	// range of ρ·A·x over the bounds before the certificate is
+	// accepted: farkasMargin·max|ρ|·epsArt plus farkasRel of the summed
+	// magnitudes.
+	farkasMargin = 10
+	farkasRel    = 1e-9
 )
 
 // The two helpers below are the sanctioned forms of *exact* float

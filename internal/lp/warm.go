@@ -12,14 +12,14 @@ import (
 // parent's optimal basis stays dual feasible under that change, so a
 // few dual pivots typically replace a full phase 1.
 
-// solveRevised runs the revised simplex, warm-started from seed when
-// possible. The second return value is false when the warm path could
-// not produce a trustworthy answer (singular seed basis, numerical
-// trouble, an iteration-capped dual restoration, or a warm
-// infeasibility claim, which is always re-verified cold); the caller
-// then re-solves cold.
+// solveRevised runs the revised simplex on p's workspace, warm-started
+// from seed when possible. The second return value is false when the
+// warm path could not produce a trustworthy answer (singular seed basis,
+// numerical trouble, an iteration-capped dual restoration, or an
+// infeasibility claim its Farkas check did not certify); the caller then
+// re-solves cold.
 func (p *Problem) solveRevised(ctx context.Context, seed *Basis) (*Solution, bool) {
-	rv := newRevised(p)
+	rv := p.workspace()
 	rv.ctx = ctx
 
 	if seed != nil {
@@ -104,9 +104,10 @@ func (rv *revised) extractDuals(p *Problem) (duals, reduced []float64) {
 
 // seedBasis installs a saved basis: statuses are sanitized against the
 // current bounds, artificials are locked at zero (a warm solve never
-// reruns phase 1), the basis is refactorized, and the basic values are
-// recomputed as x_B = B⁻¹(b − N·x_N). Returns false when the snapshot
-// does not fit this problem or the seeded basis is singular.
+// reruns phase 1), the basis is factored (see seedFactor), and the
+// basic values are recomputed as x_B = B⁻¹(b − N·x_N). Returns false
+// when the snapshot does not fit this problem or the seeded basis is
+// singular.
 func (rv *revised) seedBasis(seed *Basis) bool {
 	if seed.m != rv.m || seed.n != rv.n {
 		return false
@@ -126,7 +127,7 @@ func (rv *revised) seedBasis(seed *Basis) bool {
 		rv.status[j] = basic
 	}
 	rv.lockArtificials()
-	if !rv.refactorize() {
+	if !rv.seedFactor(seed) {
 		return false
 	}
 	x := rv.sAlpha
@@ -147,6 +148,49 @@ func (rv *revised) seedBasis(seed *Basis) bool {
 	return true
 }
 
+// seedFactor points rv.lu at an LU of the seeded basis. The seed slot
+// keeps the factor of the last seeded Basis: a seed with the same
+// pointer whose basic artificials kept their signs has the same basis
+// matrix, since the workspace's other columns never change, so it
+// reuses that factor, and the reuse is not counted in Refactorizations.
+// Any other seed is factored into the slot.
+func (rv *revised) seedFactor(seed *Basis) bool {
+	rv.lu = &rv.seedLU
+	rv.etas = rv.etas[:0]
+	rv.djOK = false
+	if seed == rv.seed && rv.sameArtificialSigns() {
+		return true
+	}
+	rv.seed = nil
+	if !rv.seedLU.factor(&rv.cols, rv.basis) {
+		return false
+	}
+	for k := range rv.basis {
+		rv.seedNeg[k] = rv.negArtificial(k)
+	}
+	rv.seed = seed
+	rv.factors++
+	return true
+}
+
+// sameArtificialSigns reports whether every artificial basic in the
+// seed slot's basis still has the sign it had when the slot was filled.
+func (rv *revised) sameArtificialSigns() bool {
+	for k := range rv.basis {
+		if rv.negArtificial(k) != rv.seedNeg[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// negArtificial reports whether basis slot k holds an artificial column
+// with coefficient −1.
+func (rv *revised) negArtificial(k int) bool {
+	j := rv.basis[k]
+	return j >= rv.artBase && rv.cols.val[rv.cols.colPtr[j]] < 0
+}
+
 // finishWarm restores primal feasibility with the dual simplex when
 // needed, then runs the primal phase 2 as cleanup (it terminates
 // immediately when the dual pass already reached optimality).
@@ -155,10 +199,15 @@ func (rv *revised) finishWarm(p *Problem) (*Solution, bool) {
 		switch st := rv.dualSimplex(); st {
 		case Canceled:
 			return rv.failed(Canceled), true
-		case Infeasible, IterLimit:
-			// Infeasibility claims from the warm path are re-verified by
-			// a cold solve, as is a capped dual restoration. The spent
-			// effort is returned so the caller can account for it.
+		case Infeasible:
+			// dualSimplex left ρ = e_r·B⁻¹ of the row it could not
+			// repair in rv.sRho. An infeasibility claim its Farkas check
+			// does not certify is re-verified by a cold solve.
+			return rv.failed(Infeasible), farkasCertified(p, rv.sRho)
+		case IterLimit:
+			// A capped dual restoration also falls back to a cold solve.
+			// The spent effort is returned so the caller can account
+			// for it.
 			return rv.failed(st), false
 		}
 	}
@@ -193,7 +242,8 @@ func (rv *revised) primalFeasible() bool {
 // iteration, choosing the entering column by the bounded dual ratio
 // test (so dual feasibility — the primal optimality condition — is
 // preserved). It stops Optimal when primal feasible, Infeasible when a
-// violated row has no eligible column, IterLimit when capped.
+// violated row r has no eligible column (leaving ρ = e_r·B⁻¹ in
+// rv.sRho), IterLimit when capped.
 func (rv *revised) dualSimplex() Status {
 	rv.computeDj(rv.cost)
 	capIters := 5*rv.m + 100
@@ -280,4 +330,69 @@ func (rv *revised) dualSimplex() Status {
 			return IterLimit
 		}
 	}
+}
+
+// farkasCertified reports whether rho proves that no x within p's
+// current bounds satisfies p's rows. With its slack (in [0, ∞),
+// coefficient +1 on a ≤ row and −1 on a ≥ row, none on an = row) every
+// row reads a_i·x + s_i = b_i, so every solution has y·(x, s) = ρ·b for
+// y = ρ·A over the structural and slack columns. When ρ·b lies outside
+// the range of y·(x, s) over the bounds, the rows have no solution.
+//
+// Entries of rho at most farkasDrop·max|ρ| count as zero: without that,
+// BTRAN noise of ~1e-14 on a row with an unbounded slack makes the
+// range unbounded. The margin, farkasMargin·max|ρ|·epsArt plus
+// farkasRel of the summed magnitudes |ρ_i·b_i| and |y_j·bound|, is
+// wider than phase 1's epsArt acceptance: every point within the
+// bounds then misses the rows by more than epsArt in ℓ1 norm, so a cold
+// solve would report Infeasible too. The check reads p's rows and
+// bounds and nothing of the simplex state but rho.
+func farkasCertified(p *Problem, rho []float64) bool {
+	maxRho := 0.0
+	for _, v := range rho {
+		maxRho = math.Max(maxRho, math.Abs(v))
+	}
+	drop := farkasDrop * maxRho
+	y := make([]float64, len(p.names))
+	var rb, mag, lo, hi float64
+	for i, r := range p.rows {
+		ri := rho[i]
+		if math.Abs(ri) <= drop {
+			continue
+		}
+		rb += ri * r.rhs
+		mag += math.Abs(ri * r.rhs)
+		for _, t := range r.terms {
+			y[t.Var] += ri * t.Coef
+		}
+		slack := 0.0
+		switch r.rel {
+		case LE:
+			slack = ri
+		case GE:
+			slack = -ri
+		}
+		if slack > 0 {
+			hi = Inf
+		} else if slack < 0 {
+			lo = -Inf
+		}
+	}
+	for j, yj := range y {
+		if StructZero(yj) {
+			continue
+		}
+		a, b := yj*p.lower[j], yj*p.upper[j]
+		mag += math.Abs(a)
+		if !math.IsInf(b, 0) {
+			mag += math.Abs(b)
+		}
+		if a > b {
+			a, b = b, a
+		}
+		lo += a
+		hi += b
+	}
+	margin := farkasMargin*maxRho*epsArt + farkasRel*mag
+	return rb > hi+margin || rb < lo-margin
 }
