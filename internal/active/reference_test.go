@@ -277,7 +277,10 @@ func TestComputeProbesMatchesReferencePresets(t *testing.T) {
 
 // Random multigraphs: small integer weights force routing ties,
 // parallel edges and disconnected parts give unreachable links, and
-// some candidate lists are empty or repeat a node.
+// some candidate lists are empty or repeat a node. Every third draw
+// gives every link weight 1, as on the POPs, so its trees come from the
+// breadth-first search; the reference rebuilds paths from the trees'
+// via edges, the construction walks their parents.
 func TestComputeProbesMatchesReferenceRandom(t *testing.T) {
 	for seed := int64(0); seed < 600; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -289,7 +292,11 @@ func TestComputeProbesMatchesReferenceRandom(t *testing.T) {
 		for i := rng.Intn(3 * n); i > 0; i-- {
 			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
 			if u != v {
-				g.AddWeightedEdge(u, v, 1, float64(1+rng.Intn(3)))
+				w := float64(1 + rng.Intn(3))
+				if seed%3 == 0 {
+					w = 1
+				}
+				g.AddWeightedEdge(u, v, 1, w)
 			}
 		}
 		cands := randomCandidates(rng, g)

@@ -167,7 +167,8 @@ func (in *Instance) TrafficsOnEdge() [][]int {
 }
 
 // Validate checks that every traffic path is consistent with the graph
-// and volumes are positive and finite.
+// and crosses at least one link, and that volumes are positive and
+// finite.
 func (in *Instance) Validate() error {
 	if in.G == nil {
 		return fmt.Errorf("core: nil graph")
@@ -178,6 +179,9 @@ func (in *Instance) Validate() error {
 		}
 		if err := t.Path.Validate(in.G); err != nil {
 			return fmt.Errorf("core: traffic %d: %w", i, err)
+		}
+		if t.Path.Len() == 0 {
+			return fmt.Errorf("core: traffic %d crosses no link", i)
 		}
 	}
 	return nil
@@ -219,8 +223,9 @@ type FlatPath struct {
 	Volume  float64
 }
 
-// Validate checks route consistency: positive volumes, valid paths, and
-// that every route of a traffic joins the traffic's endpoints.
+// Validate checks route consistency: positive volumes, valid paths of
+// at least one link, and that every route of a traffic joins the
+// traffic's endpoints.
 func (in *MultiInstance) Validate() error {
 	if in.G == nil {
 		return fmt.Errorf("core: nil graph")
@@ -235,6 +240,9 @@ func (in *MultiInstance) Validate() error {
 			}
 			if err := r.Path.Validate(in.G); err != nil {
 				return fmt.Errorf("core: multi-traffic %d route %d: %w", i, j, err)
+			}
+			if r.Path.Len() == 0 {
+				return fmt.Errorf("core: multi-traffic %d route %d crosses no link", i, j)
 			}
 			if r.Path.Src() != t.Src || r.Path.Dst() != t.Dst {
 				return fmt.Errorf("core: multi-traffic %d route %d joins %d-%d, want %d-%d",

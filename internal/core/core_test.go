@@ -60,6 +60,7 @@ func TestInstanceValidateErrors(t *testing.T) {
 		{G: g, Traffics: []Traffic{{Path: sp(0, 1), Volume: 0}}},
 		{G: g, Traffics: []Traffic{{Path: sp(0, 1), Volume: math.NaN()}}},
 		{G: g, Traffics: []Traffic{{Path: graph.Path{}, Volume: 1}}},
+		{G: g, Traffics: []Traffic{{Path: sp(2, 2), Volume: 1}}}, // crosses no link
 	}
 	for i, in := range cases {
 		if err := in.Validate(); err == nil {
@@ -93,6 +94,7 @@ func TestMultiInstanceValidate(t *testing.T) {
 		{G: g, Traffics: []MultiTraffic{{Src: 0, Dst: 3}}},                                                // no routes
 		{G: g, Traffics: []MultiTraffic{{Src: 0, Dst: 3, Routes: []Route{{Path: sp(0, 3), Volume: -1}}}}}, // bad volume
 		{G: g, Traffics: []MultiTraffic{{Src: 0, Dst: 2, Routes: []Route{{Path: sp(0, 3), Volume: 1}}}}},  // endpoint mismatch
+		{G: g, Traffics: []MultiTraffic{{Src: 2, Dst: 2, Routes: []Route{{Path: sp(2, 2), Volume: 1}}}}},  // crosses no link
 	}
 	for i, in := range bad {
 		if err := in.Validate(); err == nil {

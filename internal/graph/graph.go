@@ -1,6 +1,8 @@
 // Package graph provides the network-graph substrate used throughout the
 // repository: a compact undirected multigraph with integer node and edge
-// identifiers, shortest-path routing (Dijkstra), Yen's k-shortest paths,
+// identifiers, shortest-path routing (breadth-first search while every
+// link has routing weight 1, as on every POP the repository builds, and
+// Dijkstra otherwise; both grow the same tree), Yen's k-shortest paths,
 // breadth-first reachability and DOT export.
 //
 // The paper models a POP as a graph G = (V, E) where V is the set of
@@ -57,6 +59,10 @@ type Graph struct {
 	edges  []Edge
 	// adj[n] lists the IDs of the edges incident to n.
 	adj [][]EdgeID
+	// weighted records that some edge's routing weight is not exactly
+	// 1. While it is false, shortest-path trees come from a
+	// breadth-first search instead of the heap Dijkstra.
+	weighted bool
 }
 
 // New returns an empty graph.
@@ -87,6 +93,9 @@ func (g *Graph) AddWeightedEdge(u, v NodeID, capacity, weight float64) EdgeID {
 	g.checkNode(v)
 	if weight <= 0 {
 		panic(fmt.Sprintf("graph: non-positive routing weight %g", weight))
+	}
+	if weight != 1 {
+		g.weighted = true
 	}
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{ID: id, U: u, V: v, Capacity: capacity, Weight: weight})
@@ -204,9 +213,10 @@ func (g *Graph) Reachable(src NodeID) []NodeID {
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		labels: append([]string(nil), g.labels...),
-		edges:  append([]Edge(nil), g.edges...),
-		adj:    make([][]EdgeID, len(g.adj)),
+		labels:   append([]string(nil), g.labels...),
+		edges:    append([]Edge(nil), g.edges...),
+		adj:      make([][]EdgeID, len(g.adj)),
+		weighted: g.weighted,
 	}
 	for i, a := range g.adj {
 		c.adj[i] = append([]EdgeID(nil), a...)

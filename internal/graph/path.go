@@ -107,24 +107,25 @@ func pop(q []pqItem) (pqItem, []pqItem) {
 	return q[n], q[:n]
 }
 
-// Tree is the shortest-path tree Dijkstra grows from one source: the
-// distance to every node and the edge each node is reached by. It
-// stores O(nodes) and rebuilds a path only when asked, by walking the
-// predecessor edges back to the source. A Tree is never modified after
+// Tree is the shortest-path tree grown from one source: the distance
+// to every node, the edge each node is reached by and the node at that
+// edge's other end. It stores O(nodes) and rebuilds a path only when
+// asked, by walking back to the source. A Tree is never modified after
 // construction, so concurrent readers may share one.
 type Tree struct {
-	g    *Graph
-	src  NodeID
-	dist []float64
-	via  []EdgeID
+	g      *Graph
+	src    NodeID
+	dist   []float64
+	via    []EdgeID
+	parent []NodeID
 }
 
-// ShortestPathTree runs Dijkstra once from src. Ties are broken as in
-// ShortestPath.
+// ShortestPathTree grows the shortest-path tree from src: by
+// breadth-first search when every link has weight 1, by Dijkstra
+// otherwise. Ties are broken as in ShortestPath.
 func (g *Graph) ShortestPathTree(src NodeID) *Tree {
 	g.checkNode(src)
-	dist, via := g.dijkstra(src, nil)
-	return &Tree{g: g, src: src, dist: dist, via: via}
+	return g.dijkstra(src, nil)
 }
 
 // Src returns the tree's source.
@@ -143,18 +144,13 @@ func (t *Tree) Via(n NodeID) EdgeID { return t.via[n] }
 
 // Parent returns the node before n on the shortest path to n, or -1
 // for the source and unreachable nodes.
-func (t *Tree) Parent(n NodeID) NodeID {
-	if t.via[n] < 0 {
-		return -1
-	}
-	return t.g.edges[t.via[n]].Other(n)
-}
+func (t *Tree) Parent(n NodeID) NodeID { return t.parent[n] }
 
 // AppendEdges appends the edge sequence of the shortest path to n,
 // source first, to dst. n must be reachable.
 func (t *Tree) AppendEdges(dst []EdgeID, n NodeID) []EdgeID {
 	start := len(dst)
-	for ; n != t.src; n = t.Parent(n) {
+	for ; n != t.src; n = t.parent[n] {
 		dst = append(dst, t.via[n])
 	}
 	seq := dst[start:]
@@ -165,13 +161,31 @@ func (t *Tree) AppendEdges(dst []EdgeID, n NodeID) []EdgeID {
 }
 
 // Path returns the shortest path to dst and true, or a zero Path and
-// false when dst is unreachable.
+// false when dst is unreachable. It follows the via edges back to the
+// source.
 func (t *Tree) Path(dst NodeID) (Path, bool) {
 	t.g.checkNode(dst)
 	if !t.Reachable(dst) {
 		return Path{}, false
 	}
-	return t.g.assemble(t.src, dst, t.dist, t.via), true
+	var redges []EdgeID
+	var rnodes []NodeID
+	cur := dst
+	rnodes = append(rnodes, cur)
+	for cur != t.src {
+		id := t.via[cur]
+		redges = append(redges, id)
+		cur = t.g.edges[id].Other(cur)
+		rnodes = append(rnodes, cur)
+	}
+	// Reverse in place.
+	for i, j := 0, len(redges)-1; i < j; i, j = i+1, j-1 {
+		redges[i], redges[j] = redges[j], redges[i]
+	}
+	for i, j := 0, len(rnodes)-1; i < j; i, j = i+1, j-1 {
+		rnodes[i], rnodes[j] = rnodes[j], rnodes[i]
+	}
+	return Path{Nodes: rnodes, Edges: redges, Cost: t.dist[dst]}, true
 }
 
 // ShortestPath returns the minimum-weight path from src to dst and true,
@@ -183,20 +197,34 @@ func (g *Graph) ShortestPath(src, dst NodeID) (Path, bool) {
 	return g.ShortestPathTree(src).Path(dst)
 }
 
-// dijkstra computes single-source shortest distances from src, skipping
-// edges for which banned returns true (banned may be nil). via[n] is the
-// edge used to reach n on the shortest path tree.
-func (g *Graph) dijkstra(src NodeID, banned func(EdgeID) bool) (dist []float64, via []EdgeID) {
+// dijkstra grows the shortest-path tree from src, skipping edges for
+// which banned returns true (banned may be nil). Of the equal-cost
+// paths to a node, the tree keeps the one whose last edge has the
+// smallest ID. A graph whose links all have weight 1 gets the same tree
+// from a breadth-first search (see bfs), so only weighted graphs pay
+// for the heap.
+func (g *Graph) dijkstra(src NodeID, banned func(EdgeID) bool) *Tree {
 	n := g.NumNodes()
-	dist = make([]float64, n)
-	via = make([]EdgeID, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		via[i] = -1
+	t := &Tree{g: g, src: src, dist: make([]float64, n), via: make([]EdgeID, n), parent: make([]NodeID, n)}
+	for i := range t.dist {
+		t.dist[i] = math.Inf(1)
+		t.via[i] = -1
+		t.parent[i] = -1
 	}
-	dist[src] = 0
-	q := append(make([]pqItem, 0, n), pqItem{node: src, dist: 0})
-	done := make([]bool, n)
+	t.dist[src] = 0
+	if g.weighted {
+		t.heapSearch(banned)
+	} else {
+		t.bfs(banned)
+	}
+	return t
+}
+
+// heapSearch is Dijkstra on a binary heap, for any positive weights.
+func (t *Tree) heapSearch(banned func(EdgeID) bool) {
+	g, dist, via := t.g, t.dist, t.via
+	q := append(make([]pqItem, 0, len(dist)), pqItem{node: t.src, dist: 0})
+	done := make([]bool, len(dist))
 	for len(q) > 0 {
 		var it pqItem
 		it, q = pop(q)
@@ -209,44 +237,56 @@ func (g *Graph) dijkstra(src NodeID, banned func(EdgeID) bool) (dist []float64, 
 			if banned != nil && banned(id) {
 				continue
 			}
-			e := g.edges[id]
-			v := e.Other(u)
+			e := &g.edges[id]
+			v := e.U
+			if v == u {
+				v = e.V
+			}
 			nd := dist[u] + e.Weight
 			// Strict improvement, or an equal-cost path reached through a
 			// smaller edge ID: keeps tie-breaking deterministic.
 			if nd < dist[v]-1e-12 || (math.Abs(nd-dist[v]) <= 1e-12 && via[v] >= 0 && id < via[v]) {
 				dist[v] = nd
 				via[v] = id
+				t.parent[v] = u
 				q = push(q, pqItem{node: v, dist: nd})
 			}
 		}
 	}
-	return dist, via
 }
 
-// assemble rebuilds the path src→dst from the Dijkstra predecessor array.
-func (g *Graph) assemble(src, dst NodeID, dist []float64, via []EdgeID) Path {
-	var redges []EdgeID
-	var rnodes []NodeID
-	cur := dst
-	rnodes = append(rnodes, cur)
-	for cur != src {
-		id := via[cur]
-		if id < 0 {
-			panic(fmt.Sprintf("graph: broken predecessor chain at node %d", cur))
+// bfs is the search for a graph whose links all have weight 1. A FIFO
+// queue reaches the nodes layer by layer: v takes dist[u]+1 and the
+// edge from the first u that reaches it, and a later edge from u's
+// layer replaces that edge when its ID is smaller. This is heapSearch's
+// tree exactly. The distances are small integers, so heapSearch's
+// float tolerance never matters, and both searches scan every edge
+// from the layer before v's, so both end with via[v] the smallest ID
+// among them.
+func (t *Tree) bfs(banned func(EdgeID) bool) {
+	g, dist, via := t.g, t.dist, t.via
+	queue := append(make([]NodeID, 0, len(dist)), t.src)
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
+		d := dist[u] + 1
+		for _, id := range g.adj[u] {
+			if banned != nil && banned(id) {
+				continue
+			}
+			e := &g.edges[id]
+			v := e.U
+			if v == u {
+				v = e.V
+			}
+			switch {
+			case math.IsInf(dist[v], 1):
+				dist[v], via[v], t.parent[v] = d, id, u
+				queue = append(queue, v)
+			case dist[v] == d && id < via[v]:
+				via[v], t.parent[v] = id, u
+			}
 		}
-		redges = append(redges, id)
-		cur = g.edges[id].Other(cur)
-		rnodes = append(rnodes, cur)
 	}
-	// Reverse in place.
-	for i, j := 0, len(redges)-1; i < j; i, j = i+1, j-1 {
-		redges[i], redges[j] = redges[j], redges[i]
-	}
-	for i, j := 0, len(rnodes)-1; i < j; i, j = i+1, j-1 {
-		rnodes[i], rnodes[j] = rnodes[j], rnodes[i]
-	}
-	return Path{Nodes: rnodes, Edges: redges, Cost: dist[dst]}
 }
 
 // KShortestPaths returns up to k loopless shortest paths from src to dst
@@ -288,11 +328,10 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int) []Path {
 				e := g.edges[id]
 				return bannedNodes[e.U] || bannedNodes[e.V]
 			}
-			dist, via := g.dijkstra(spurNode, ban)
-			if math.IsInf(dist[dst], 1) {
+			spur, ok := g.dijkstra(spurNode, ban).Path(dst)
+			if !ok {
 				continue
 			}
-			spur := g.assemble(spurNode, dst, dist, via)
 			total := joinPaths(g, rootNodes, rootEdges, spur)
 			if !containsPath(paths, total) && !containsPath(candidates, total) {
 				candidates = append(candidates, total)

@@ -208,10 +208,10 @@ func TestDijkstraMatchesContainerHeap(t *testing.T) {
 			banned = func(id EdgeID) bool { return ban[id] }
 		}
 		src := NodeID(rng.Intn(n))
-		dist, via := g.dijkstra(src, banned)
+		tr := g.dijkstra(src, banned)
 		wantDist, wantVia := refDijkstra(g, src, banned)
-		if !reflect.DeepEqual(dist, wantDist) || !reflect.DeepEqual(via, wantVia) {
-			t.Fatalf("seed %d: dist %v via %v, container/heap gives dist %v via %v", seed, dist, via, wantDist, wantVia)
+		if !reflect.DeepEqual(tr.dist, wantDist) || !reflect.DeepEqual(tr.via, wantVia) {
+			t.Fatalf("seed %d: dist %v via %v, container/heap gives dist %v via %v", seed, tr.dist, tr.via, wantDist, wantVia)
 		}
 	}
 }
@@ -234,6 +234,91 @@ func TestHeapPopOrderMatchesContainerHeap(t *testing.T) {
 			got, q = pop(q)
 			if want := heap.Pop(ref).(pqItem); got != want {
 				t.Fatalf("seed %d op %d: popped %+v, container/heap pops %+v", seed, op, got, want)
+			}
+		}
+	}
+}
+
+// unitMultigraph draws a multigraph on 2–40 nodes whose links all have
+// weight 1, as every POP has: parallel edges (some with their
+// endpoints swapped), and up to three parts with no link between them,
+// so some nodes are unreachable or isolated.
+func unitMultigraph(rng *rand.Rand) *Graph {
+	n := 2 + rng.Intn(39)
+	parts := 1 + rng.Intn(3)
+	g := New()
+	for i := 0; i < n; i++ {
+		g.AddNode("n")
+	}
+	for i := rng.Intn(3 * n); i >= 0; i-- {
+		u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+		if u == v || int(u)%parts != int(v)%parts {
+			continue
+		}
+		g.AddEdge(u, v, 1)
+		if rng.Intn(4) == 0 {
+			g.AddEdge(v, u, 1)
+		}
+	}
+	return g
+}
+
+// yenBan bans edges as a Yen spur search does: a random set of edges,
+// and every edge at a random set of nodes other than src.
+func yenBan(rng *rand.Rand, g *Graph, src NodeID) func(EdgeID) bool {
+	edges := make([]bool, g.NumEdges())
+	for i := range edges {
+		edges[i] = rng.Intn(6) == 0
+	}
+	nodes := make([]bool, g.NumNodes())
+	for i := range nodes {
+		nodes[i] = NodeID(i) != src && rng.Intn(5) == 0
+	}
+	return func(id EdgeID) bool {
+		e := g.edges[id]
+		return edges[id] || nodes[e.U] || nodes[e.V]
+	}
+}
+
+// Lock: on graphs whose links all have weight 1 the breadth-first
+// search grows exactly the heap Dijkstra's tree (dist, via and parent)
+// from every source, with and without banned edges and nodes, and
+// ShortestPath and KShortestPaths answer the same as on the same graph
+// routed by the heap.
+func TestBFSMatchesHeapDijkstra(t *testing.T) {
+	for seed := int64(0); seed < 3000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := unitMultigraph(rng)
+		if g.weighted {
+			t.Fatalf("seed %d: unit-weight graph marked weighted", seed)
+		}
+		heapG := g.Clone()
+		heapG.weighted = true
+		if !heapG.Clone().weighted {
+			t.Fatal("Clone drops the weighted mark")
+		}
+		n := g.NumNodes()
+		for s := NodeID(0); int(s) < n; s++ {
+			for bi, ban := range []func(EdgeID) bool{nil, yenBan(rng, g, s)} {
+				bt, ht := g.dijkstra(s, ban), heapG.dijkstra(s, ban)
+				if !reflect.DeepEqual(bt.dist, ht.dist) || !reflect.DeepEqual(bt.via, ht.via) || !reflect.DeepEqual(bt.parent, ht.parent) {
+					t.Fatalf("seed %d src %d ban %d: BFS dist %v via %v parent %v, heap dist %v via %v parent %v",
+						seed, s, bi, bt.dist, bt.via, bt.parent, ht.dist, ht.via, ht.parent)
+				}
+				for v, id := range bt.via {
+					if id >= 0 && bt.parent[v] != g.edges[id].Other(NodeID(v)) {
+						t.Fatalf("seed %d src %d: parent of %d is %d, edge %d leads to %d", seed, s, v, bt.parent[v], id, g.edges[id].Other(NodeID(v)))
+					}
+				}
+			}
+			dst := NodeID(rng.Intn(n))
+			p, ok := g.ShortestPath(s, dst)
+			hp, hok := heapG.ShortestPath(s, dst)
+			if ok != hok || !reflect.DeepEqual(p, hp) {
+				t.Fatalf("seed %d: ShortestPath(%d, %d) = %+v %v, heap gives %+v %v", seed, s, dst, p, ok, hp, hok)
+			}
+			if ks, hks := g.KShortestPaths(s, dst, 3), heapG.KShortestPaths(s, dst, 3); !reflect.DeepEqual(ks, hks) {
+				t.Fatalf("seed %d: KShortestPaths(%d, %d, 3) = %+v, heap gives %+v", seed, s, dst, ks, hks)
 			}
 		}
 	}

@@ -207,6 +207,38 @@ func TestBadRequestsAreClientErrors(t *testing.T) {
 	}
 }
 
+// A demand whose source is its destination crosses no link. It is
+// rejected when the problem is built, so every solver kind answers 400
+// naming it, and none of them panics on it.
+func TestSelfDemandIsClientError(t *testing.T) {
+	pop := topology.Generate(topology.Config{Routers: 6, InterRouterLinks: 9, Endpoints: 5, Seed: 7})
+	var buf bytes.Buffer
+	if err := topology.Write(&buf, pop); err != nil {
+		t.Fatal(err)
+	}
+	eps := pop.Endpoints
+	demands := []map[string]any{
+		{"src": int(eps[0]), "dst": int(eps[1]), "volume": 5.0},
+		{"src": int(eps[2]), "dst": int(eps[2]), "volume": 3.0},
+	}
+	ts := newTestServer(t, Config{})
+	for _, solver := range []string{"sample/ppme", "tap/greedy-gain", "tap/exact"} {
+		req, _ := json.Marshal(map[string]any{
+			"solver":   solver,
+			"topology": buf.String(),
+			"demands":  demands,
+			"coverage": 1,
+		})
+		code, data := postJSON(t, ts.URL+"/v1/solve", string(req))
+		if code != http.StatusBadRequest || !strings.Contains(string(data), "demand 1") {
+			t.Errorf("%s: status %d (%s), want 400 naming demand 1", solver, code, data)
+		}
+	}
+	if v := metricValue(t, ts, "placementd_panics_total"); v != 0 {
+		t.Fatalf("panics_total = %g, want 0", v)
+	}
+}
+
 func TestFamiliesAndHealthz(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/families")

@@ -97,15 +97,18 @@ func Demands(pop *topology.POP, cfg Config) []Demand {
 // symmetric).
 func Route(pop *topology.POP, demands []Demand) (*core.Instance, error) {
 	in := &core.Instance{G: pop.G}
-	// One Dijkstra per distinct source.
+	// One shortest-path tree per distinct source.
 	bySrc := make(map[graph.NodeID]*graph.Tree)
 	for i, d := range demands {
+		if err := routable(pop.G, i, d); err != nil {
+			return nil, err
+		}
 		tree, ok := bySrc[d.Src]
 		if !ok {
 			tree = pop.G.ShortestPathTree(d.Src)
 			bySrc[d.Src] = tree
 		}
-		if d.Dst < 0 || int(d.Dst) >= pop.G.NumNodes() || !tree.Reachable(d.Dst) {
+		if !tree.Reachable(d.Dst) {
 			return nil, fmt.Errorf("traffic: demand %d: no route %d→%d", i, d.Src, d.Dst)
 		}
 		p, _ := tree.Path(d.Dst)
@@ -124,6 +127,9 @@ func RouteMulti(pop *topology.POP, demands []Demand, maxRoutes int) (*core.Multi
 	}
 	mi := &core.MultiInstance{G: pop.G}
 	for i, d := range demands {
+		if err := routable(pop.G, i, d); err != nil {
+			return nil, err
+		}
 		paths := pop.G.KShortestPaths(d.Src, d.Dst, maxRoutes)
 		if len(paths) == 0 {
 			return nil, fmt.Errorf("traffic: demand %d: no route %d→%d", i, d.Src, d.Dst)
@@ -140,6 +146,21 @@ func RouteMulti(pop *topology.POP, demands []Demand, maxRoutes int) (*core.Multi
 		mi.Traffics = append(mi.Traffics, mt)
 	}
 	return mi, nil
+}
+
+// routable rejects demand i when no route can carry it: an endpoint
+// outside g, or a source that is its own destination. Such a route
+// would cross no link, so no tap could see it, and its inverse-cost
+// share in RouteMulti would be NaN.
+func routable(g *graph.Graph, i int, d Demand) error {
+	n := graph.NodeID(g.NumNodes())
+	switch {
+	case d.Src < 0 || d.Src >= n || d.Dst < 0 || d.Dst >= n:
+		return fmt.Errorf("traffic: demand %d: endpoints %d→%d outside the %d-node graph", i, d.Src, d.Dst, n)
+	case d.Src == d.Dst:
+		return fmt.Errorf("traffic: demand %d: source and destination are both node %d", i, d.Src)
+	}
+	return nil
 }
 
 // Scale returns a copy of demands with every volume multiplied by f;

@@ -2,9 +2,11 @@ package traffic
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/graph"
 	"repro/internal/topology"
 )
 
@@ -127,6 +129,28 @@ func TestRouteMultiRejectsBadK(t *testing.T) {
 	pop := paperPOP(6)
 	if _, err := RouteMulti(pop, Demands(pop, Config{Seed: 6}), 0); err == nil {
 		t.Fatal("want error for maxRoutes=0")
+	}
+}
+
+// A demand no route can carry, its source being its destination or an
+// endpoint lying outside the graph, is an error naming the demand from
+// both routers: the single router would otherwise build a zero-link
+// traffic, the multi router a route of volume NaN.
+func TestRoutersRejectUnroutableDemand(t *testing.T) {
+	pop := paperPOP(7)
+	demands := Demands(pop, Config{Seed: 7})[:5]
+	for _, bad := range []Demand{
+		{Src: demands[0].Src, Dst: demands[0].Src, Volume: 3},
+		{Src: -1, Dst: demands[0].Dst, Volume: 3},
+		{Src: demands[0].Src, Dst: graph.NodeID(pop.G.NumNodes()), Volume: 3},
+	} {
+		ds := append(append([]Demand(nil), demands...), bad)
+		if in, err := Route(pop, ds); err == nil || !strings.Contains(err.Error(), "demand 5") {
+			t.Errorf("%+v: Route = %v, %v; want an error naming demand 5", bad, in, err)
+		}
+		if mi, err := RouteMulti(pop, ds, 2); err == nil || !strings.Contains(err.Error(), "demand 5") {
+			t.Errorf("%+v: RouteMulti = %v, %v; want an error naming demand 5", bad, mi, err)
+		}
 	}
 }
 
