@@ -39,7 +39,8 @@ type RunnerOption func(*runnerConfig)
 // WithWorkers bounds the number of concurrent solves; n <= 0 means
 // runtime.GOMAXPROCS(0). One worker is the deterministic serial
 // baseline (batch results are identical either way — only the clock
-// changes).
+// changes, and tap/exact's schedule-dependent effort counters, see
+// DESIGN.md §4a).
 func WithWorkers(n int) RunnerOption { return func(c *runnerConfig) { c.workers = n } }
 
 // WithoutCache disables solve memoization: every problem in every batch
@@ -102,7 +103,8 @@ func (r *Runner) BatchStats() Stats { return r.eng.Stats() }
 // the runner's worker pool and returns the results in input order —
 // the order-independent merge: results[i] always belongs to
 // problems[i], bit-identical to a serial loop of Solve calls,
-// regardless of worker count or completion order.
+// regardless of worker count or completion order (clocks and
+// tap/exact's schedule-dependent effort counters aside).
 //
 // Identical problems (same canonical instance hash, same options) are
 // solved once and served from the cache. Time-bounded solves

@@ -11,6 +11,7 @@ package cover
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -368,10 +369,10 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 		elemOrder:    s.elemOrder,
 		permPos:      s.permPos,
 		permCovered:  s.permCovered,
-		disjointUsed: s.disjointUsed,
 		gains:        s.gains,
 		elemSets:     s.elemSets,
 
+		searchScratch: s.searchScratch,
 		frontierDepth: -1,
 	}
 	r.search(covered, coveredW, forced)
@@ -608,6 +609,10 @@ func dropDominatedElements(in Instance, excluded []bool, covered bitset) (Instan
 			coverers[e].set(si)
 		}
 	}
+	counts := make([]int, in.NumElements)
+	for e, c := range coverers {
+		counts[e] = c.count()
+	}
 	live := func(e int) bool { return !covered.get(e) && !lp.StructZero(in.weight(e)) }
 	drop := make([]bool, in.NumElements)
 	for u := 0; u < in.NumElements; u++ {
@@ -615,7 +620,9 @@ func dropDominatedElements(in Instance, excluded []bool, covered bitset) (Instan
 			continue
 		}
 		for v := 0; v < in.NumElements; v++ {
-			if u == v || drop[v] || !live(v) {
+			// A v with more coverers than u cannot have them contained
+			// in u's: skip it before the word-by-word test.
+			if u == v || counts[v] > counts[u] || drop[v] || !live(v) {
 				continue
 			}
 			if coverers[v].subsetOf(coverers[u]) {
@@ -754,20 +761,36 @@ type exactSearch struct {
 	// remaining cover.
 	elemCoverers []bitset
 	elemOrder    []int
-	disjointUsed bitset  // scratch family-coverer union
 	permPos      []int32 // element → elemOrder position (-1 = untracked)
 	permCovered  bitset  // covered, permuted into elemOrder positions
 
 	// Incremental residual-gain state: gains[si] is the uncovered
-	// weight of set si, updated in place as include branches flip
-	// elements (and restored exactly on backtrack via the undo stacks)
-	// instead of being recomputed from every set at every node.
+	// weight of set si, updated in place as branches cover elements or
+	// exclude sets (and restored exactly on backtrack from the gain
+	// snapshot the branch pushed) instead of being recomputed from
+	// every set at every node.
 	gains    []float64
 	elemSets [][]int32 // per element: root-non-excluded sets covering it
-	undoT    []int32   // undo stack: touched set ids…
-	undoG    []float64 // …and their prior gains
-	flip     []int32   // undo stack: elements newly covered
-	scratch  []float64 // lower-bound selection buffer
+
+	searchScratch
+}
+
+// searchScratch is a search's reusable working memory. Every branch
+// pops what it pushed, and the buffers are rewritten before each read,
+// so one scratch serves any number of searches run one after another:
+// the reconstruction search inherits the root's, and runSubtrees lends
+// each worker's to every task that worker runs.
+type searchScratch struct {
+	// saved is the gain-snapshot stack: each open branch pushes a copy
+	// of gains (one float per set) and copies it back on return, which
+	// restores the exact bits whatever the branch changed below.
+	saved []float64
+	// flip lists the elements the open include branches newly covered.
+	flip []int32
+	// scratch is boundAndBranch's selection buffer of the largest gains.
+	scratch []float64
+	// disjointUsed is disjointBound's family-coverer union.
+	disjointUsed bitset
 }
 
 // prepareGains builds the per-element coverer lists, the initial
@@ -825,9 +848,8 @@ func (s *exactSearch) prepareDisjointBound(excluded []bool, covered bitset) {
 		}
 	}
 	sort.Slice(s.elemOrder, func(a, b int) bool { return counts[s.elemOrder[a]] < counts[s.elemOrder[b]] })
-	s.disjointUsed = newBitset(len(s.in.Sets))
 	// Mirror of `covered` permuted into elemOrder positions, maintained
-	// by include()'s flip/undo, so the bound scan skips covered
+	// by include() and its flip stack, so the bound scan skips covered
 	// elements a word at a time instead of probing them one by one.
 	s.permPos = make([]int32, n)
 	for e := range s.permPos {
@@ -856,6 +878,10 @@ func (s *exactSearch) disjointBound(enough int) int {
 		return 0
 	}
 	used := s.disjointUsed
+	if used == nil {
+		used = newBitset(len(s.in.Sets))
+		s.disjointUsed = used
+	}
 	for i := range used {
 		used[i] = 0
 	}
@@ -1002,24 +1028,28 @@ func rootLP(ctx context.Context, in Instance, target float64, excluded []bool, f
 // into one element of summed weight. Sound for any coverage target:
 // merged elements are covered or uncovered together.
 func mergeSignatures(in Instance, target float64) (Instance, float64) {
-	coverers := make([]bitset, in.NumElements)
-	for e := range coverers {
-		coverers[e] = newBitset(len(in.Sets))
-	}
+	// One flat array holds every element's coverer bitset; the map keys
+	// a signature by its raw words.
+	words := (len(in.Sets) + 63) / 64
+	flat := make(bitset, in.NumElements*words)
 	for si, s := range in.Sets {
 		for _, e := range s {
-			coverers[e].set(si)
+			flat[e*words:].set(si)
 		}
 	}
 	rep := make(map[string]int, in.NumElements) // signature → new element id
+	key := make([]byte, 0, 8*words)
 	newID := make([]int, in.NumElements)
 	var weights []float64
 	for e := 0; e < in.NumElements; e++ {
-		key := fmt.Sprint(coverers[e])
-		id, ok := rep[key]
+		key = key[:0]
+		for _, w := range flat[e*words : (e+1)*words] {
+			key = binary.LittleEndian.AppendUint64(key, w)
+		}
+		id, ok := rep[string(key)]
 		if !ok {
 			id = len(weights)
-			rep[key] = id
+			rep[string(key)] = id
 			weights = append(weights, 0)
 		}
 		newID[e] = id
@@ -1028,13 +1058,14 @@ func mergeSignatures(in Instance, target float64) (Instance, float64) {
 	if len(weights) == in.NumElements {
 		return in, target // nothing merged
 	}
+	// stamp[id] == si+1 marks merged element id as already listed in
+	// set si, keeping each id's first position.
+	stamp := make([]int, len(weights))
 	sets := make([][]int, len(in.Sets))
 	for si, s := range in.Sets {
-		seen := make(map[int]bool, len(s))
 		for _, e := range s {
-			id := newID[e]
-			if !seen[id] {
-				seen[id] = true
+			if id := newID[e]; stamp[id] != si+1 {
+				stamp[id] = si + 1
 				sets[si] = append(sets[si], id)
 			}
 		}
@@ -1210,34 +1241,42 @@ func (s *exactSearch) search(covered bitset, coveredW float64, chosen []int) {
 	// Exclude branch: zeroing the set's residual gain removes it from
 	// the bound, the branch selection and the feasibility sum in one
 	// store (root-excluded sets already sit at gain 0 the same way).
-	// Nested includes only ever decrement the gain and their undo
-	// stacks restore it exactly, so the final restore is exact too.
 	// Dominance rides along: once the branched set is out, any
 	// candidate whose residual coverage it contains can be swapped for
-	// it, so those are excluded too (and restored from the same undo
-	// stack). Residual-identical sets are the symmetry case: only the
-	// branch-first permutation survives.
-	markT := len(s.undoT)
-	s.undoT = append(s.undoT, int32(branch))
-	s.undoG = append(s.undoG, s.gains[branch])
+	// it, so those are excluded too. Residual-identical sets are the
+	// symmetry case: only the branch-first permutation survives. The
+	// gain snapshot pushed first restores every zeroed gain on return.
+	mark := s.saveGains()
 	s.gains[branch] = 0
 	s.excludeDominatedBy(branch, covered)
 	s.depth++
 	s.search(covered, coveredW, chosen)
 	s.depth--
-	for i := len(s.undoT) - 1; i >= markT; i-- {
-		s.gains[s.undoT[i]] = s.undoG[i]
-	}
-	s.undoT = s.undoT[:markT]
-	s.undoG = s.undoG[:markT]
+	s.restoreGains(mark)
+}
+
+// saveGains pushes a snapshot of the residual gains and returns the
+// mark restoreGains pops back to.
+func (s *exactSearch) saveGains() int {
+	mark := len(s.saved)
+	s.saved = append(s.saved, s.gains...)
+	return mark
+}
+
+// restoreGains copies the snapshot pushed at mark back into gains and
+// pops it: the exact bits return, so backtracking never accumulates
+// float drift.
+func (s *exactSearch) restoreGains(mark int) {
+	copy(s.gains, s.saved[mark:])
+	s.saved = s.saved[:mark]
 }
 
 // excludeDominatedBy zeroes the gain of every live candidate set whose
 // residual coverage is contained in branch's: in the branch-excluded
 // subtree any cover using such a set can swap it for branch without
 // losing covered weight or cardinality, and that cover lives in the
-// include subtree, which was searched first. The undo entries ride the
-// caller's mark.
+// include subtree, which was searched first. The caller's gain
+// snapshot restores the zeroed gains.
 func (s *exactSearch) excludeDominatedBy(branch int, covered bitset) {
 	bm := s.setMasks[branch]
 	for sj := range s.gains {
@@ -1256,8 +1295,6 @@ func (s *exactSearch) excludeDominatedBy(branch int, covered bitset) {
 			}
 		}
 		if dominated {
-			s.undoT = append(s.undoT, int32(sj))
-			s.undoG = append(s.undoG, s.gains[sj])
 			s.gains[sj] = 0
 			s.st.DominancePrunes++
 		}
@@ -1265,11 +1302,11 @@ func (s *exactSearch) excludeDominatedBy(branch int, covered bitset) {
 }
 
 // include descends into the branch that takes set si. covered and the
-// residual gains are updated in place and restored exactly afterwards
-// (prior gain values are re-installed from the undo stack in reverse,
-// so backtracking never accumulates float drift).
+// residual gains are updated in place and restored exactly afterwards:
+// the newly covered elements are unset from the flip stack, and the
+// gains are copied back from the snapshot pushed on entry.
 func (s *exactSearch) include(covered bitset, coveredW float64, chosen []int, si int) {
-	markT, markF := len(s.undoT), len(s.flip)
+	mark, markF := s.saveGains(), len(s.flip)
 	w := coveredW
 	for _, e := range s.in.Sets[si] {
 		if covered.get(e) {
@@ -1285,19 +1322,13 @@ func (s *exactSearch) include(covered bitset, coveredW float64, chosen []int, si
 		we := s.in.weight(e)
 		w += we
 		for _, t := range s.elemSets[e] {
-			s.undoT = append(s.undoT, t)
-			s.undoG = append(s.undoG, s.gains[t])
 			s.gains[t] -= we
 		}
 	}
 	s.depth++
 	s.search(covered, w, append(chosen, si))
 	s.depth--
-	for i := len(s.undoT) - 1; i >= markT; i-- {
-		s.gains[s.undoT[i]] = s.undoG[i]
-	}
-	s.undoT = s.undoT[:markT]
-	s.undoG = s.undoG[:markT]
+	s.restoreGains(mark)
 	for i := len(s.flip) - 1; i >= markF; i-- {
 		e := int(s.flip[i])
 		covered.unset(e)

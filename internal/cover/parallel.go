@@ -69,8 +69,9 @@ func (m *atomicMin) publish(n int64) {
 
 // taskSearch runs one subtree task to completion (or its budget, or an
 // abort) on a clone of the root search that shares every immutable
-// structure and owns every mutable one.
-func (s *exactSearch) taskSearch(t *coverTask, budget int, g *atomicMin) *exactSearch {
+// structure and owns every mutable one. The clone borrows scr, the
+// running worker's scratch, and hands it back grown.
+func (s *exactSearch) taskSearch(t *coverTask, budget int, g *atomicMin, scr *searchScratch) *exactSearch {
 	c := &exactSearch{
 		ctx:     s.ctx,
 		in:      s.in,
@@ -96,6 +97,7 @@ func (s *exactSearch) taskSearch(t *coverTask, budget int, g *atomicMin) *exactS
 
 		gains: t.gains,
 
+		searchScratch: *scr,
 		frontierDepth: -1,
 		pubG:          g,
 		taskLB:        t.lb,
@@ -105,10 +107,8 @@ func (s *exactSearch) taskSearch(t *coverTask, budget int, g *atomicMin) *exactS
 		// a task-local copy keeps that evolution schedule-independent.
 		c.banned = append([]bool(nil), s.banned...)
 	}
-	if s.elemOrder != nil {
-		c.disjointUsed = newBitset(len(s.in.Sets))
-	}
 	c.search(t.covered, t.coveredW, t.chosen)
+	*scr = c.searchScratch
 	return c
 }
 
@@ -159,8 +159,11 @@ func (s *exactSearch) runSubtrees(workers, maxNodes int) {
 	g.v.Store(int64(s.bestLen))
 	seedLen := s.bestLen
 
+	// One scratch per worker, lent to each task the worker runs: a
+	// worker runs its tasks one at a time, so no two searches share one.
+	scratch := make([]searchScratch, min(workers, len(tasks)))
 	eng := engine.New(engine.Options{Workers: workers})
-	outs, ts, _ := engine.MapTree(s.ctx, eng, len(tasks), func(_ context.Context, i, _ int) (subtreeOut, error) {
+	outs, ts, _ := engine.MapTree(s.ctx, eng, len(tasks), func(_ context.Context, i, worker int) (subtreeOut, error) {
 		t := tasks[i]
 		if budgets[i] == 0 {
 			// Out of global node budget before this task's slot: it is
@@ -178,7 +181,7 @@ func (s *exactSearch) runSubtrees(workers, maxNodes int) {
 			// an already-published cover, even on ties.
 			return subtreeOut{}, nil
 		}
-		c := s.taskSearch(t, budgets[i], &g)
+		c := s.taskSearch(t, budgets[i], &g, &scratch[worker])
 		o := subtreeOut{length: c.bestLen, st: c.st}
 		if !c.aborted {
 			o.capped = c.capped

@@ -144,10 +144,10 @@ func TestExactCoverWorkerIdentity(t *testing.T) {
 // return byte-identical placements for
 // Workers ∈ {1, 2, 8}, each identical to the cold serial solve of the
 // same instance. This is the resolve==cold lock at the cover layer,
-// where the worker pool actually lives (the facade's tap/exact solve
-// is serial; invariant 6 covers it at Workers = 1). Comparisons apply
-// only when both sides prove optimality — a budget-capped incumbent is
-// documented to be warm-dependent.
+// where the worker count can be chosen (the facade's tap/exact solve
+// always uses GOMAXPROCS workers; invariant 6 covers it there).
+// Comparisons apply only when both sides prove optimality — a
+// budget-capped incumbent is documented to be warm-dependent.
 //
 // The chain uses churn's rescale mutation (volumes reweighted, rows
 // kept): it preserves the root LP's shape, so the saved basis actually

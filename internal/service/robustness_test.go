@@ -101,25 +101,35 @@ func getStatus(t *testing.T, url string) (int, string) {
 }
 
 func TestPanicRecoveredInto500(t *testing.T) {
-	_, ts := newServerPair(t, Config{})
-	reg := fault.NewRegistry(1)
-	reg.Set(fault.PointHandler, fault.Schedule{Every: 1, Limit: 1, Panic: true})
-	fault.Activate(reg)
-	defer fault.Deactivate()
+	// A panic in the handler itself, and one on an engine worker, which
+	// reaches the middleware as an *engine.TaskPanic carrying the
+	// worker's stack. Neither body may show a stack.
+	for _, point := range []string{fault.PointHandler, fault.PointEngineTask} {
+		t.Run(point, func(t *testing.T) {
+			_, ts := newServerPair(t, Config{})
+			reg := fault.NewRegistry(1)
+			reg.Set(point, fault.Schedule{Every: 1, Limit: 1, Panic: true})
+			fault.Activate(reg)
+			defer fault.Deactivate()
 
-	code, body := postJSON(t, ts.URL+"/v1/solve", fmt.Sprintf(solveBody, "tap/greedy-gain"))
-	if code != http.StatusInternalServerError {
-		t.Fatalf("panicking handler = %d, want 500: %s", code, body)
-	}
-	if !strings.Contains(string(body), "internal panic") {
-		t.Fatalf("500 body = %s, want the uniform panic error", body)
-	}
-	if v := metricValue(t, ts, "placementd_panics_total"); v != 1 {
-		t.Fatalf("panics_total = %g, want 1", v)
-	}
-	// The process (and server) survived: the next request works.
-	if code, body := postJSON(t, ts.URL+"/v1/solve", fmt.Sprintf(solveBody, "tap/greedy-gain")); code != http.StatusOK {
-		t.Fatalf("request after recovered panic = %d: %s", code, body)
+			code, body := postJSON(t, ts.URL+"/v1/solve", fmt.Sprintf(solveBody, "tap/greedy-gain"))
+			if code != http.StatusInternalServerError {
+				t.Fatalf("panicking handler = %d, want 500: %s", code, body)
+			}
+			if !strings.Contains(string(body), "internal panic") || !strings.Contains(string(body), "injected panic") {
+				t.Fatalf("500 body = %s, want the uniform panic error with the panic's value", body)
+			}
+			if strings.Contains(string(body), "goroutine") || strings.Contains(string(body), ".go:") {
+				t.Fatalf("500 body leaks a stack: %s", body)
+			}
+			if v := metricValue(t, ts, "placementd_panics_total"); v != 1 {
+				t.Fatalf("panics_total = %g, want 1", v)
+			}
+			// The process (and server) survived: the next request works.
+			if code, body := postJSON(t, ts.URL+"/v1/solve", fmt.Sprintf(solveBody, "tap/greedy-gain")); code != http.StatusOK {
+				t.Fatalf("request after recovered panic = %d: %s", code, body)
+			}
+		})
 	}
 }
 

@@ -35,12 +35,14 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro"
 	"repro/internal/buildinfo"
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/scenario"
 )
@@ -161,8 +163,10 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // recover is the outermost middleware: a panicking handler becomes a
 // 500 with the uniform JSON error body (when no bytes were written
 // yet) and an incident counter tick — never a crashed process, and
-// never a half-written 200. http.ErrAbortHandler keeps its stdlib
-// meaning and is re-raised.
+// never a half-written 200. The body names only the panic's value;
+// the stacks, which show server goroutines and source paths, go to
+// standard error. http.ErrAbortHandler keeps its stdlib meaning and is
+// re-raised.
 func (s *Server) recover(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
@@ -175,9 +179,16 @@ func (s *Server) recover(next http.Handler) http.Handler {
 				panic(p)
 			}
 			s.metrics.panics.Add(1)
+			// A task panic's text carries its worker's stack: log it
+			// whole, answer with the original value alone.
+			value := p
+			if tp, ok := p.(*engine.TaskPanic); ok {
+				value = tp.Value
+			}
+			fmt.Fprintf(os.Stderr, "placementd: %s %s: internal panic: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
 			if !sw.wrote {
 				s.writeError(sw, r.URL.Path, http.StatusInternalServerError,
-					fmt.Sprintf("internal panic: %v", p))
+					fmt.Sprintf("internal panic: %v", value))
 			}
 		}()
 		next.ServeHTTP(sw, r)

@@ -207,7 +207,8 @@ func TestBadRequestsAreClientErrors(t *testing.T) {
 	}
 }
 
-// A demand whose source is its destination crosses no link. It is
+// A demand whose source is its destination crosses no link, and one
+// whose volume is zero or negative carries no traffic. Each is
 // rejected when the problem is built, so every solver kind answers 400
 // naming it, and none of them panics on it.
 func TestSelfDemandIsClientError(t *testing.T) {
@@ -217,21 +218,29 @@ func TestSelfDemandIsClientError(t *testing.T) {
 		t.Fatal(err)
 	}
 	eps := pop.Endpoints
-	demands := []map[string]any{
-		{"src": int(eps[0]), "dst": int(eps[1]), "volume": 5.0},
-		{"src": int(eps[2]), "dst": int(eps[2]), "volume": 3.0},
-	}
 	ts := newTestServer(t, Config{})
-	for _, solver := range []string{"sample/ppme", "tap/greedy-gain", "tap/exact"} {
-		req, _ := json.Marshal(map[string]any{
-			"solver":   solver,
-			"topology": buf.String(),
-			"demands":  demands,
-			"coverage": 1,
-		})
-		code, data := postJSON(t, ts.URL+"/v1/solve", string(req))
-		if code != http.StatusBadRequest || !strings.Contains(string(data), "demand 1") {
-			t.Errorf("%s: status %d (%s), want 400 naming demand 1", solver, code, data)
+	// A self-demand, and demands whose volume is not positive: the
+	// solvers would panic or fail on them, so the build refuses them.
+	for _, bad := range []map[string]any{
+		{"src": int(eps[2]), "dst": int(eps[2]), "volume": 3.0},
+		{"src": int(eps[2]), "dst": int(eps[3]), "volume": 0.0},
+		{"src": int(eps[2]), "dst": int(eps[3]), "volume": -2.0},
+	} {
+		demands := []map[string]any{
+			{"src": int(eps[0]), "dst": int(eps[1]), "volume": 5.0},
+			bad,
+		}
+		for _, solver := range []string{"sample/ppme", "tap/greedy-gain", "tap/exact"} {
+			req, _ := json.Marshal(map[string]any{
+				"solver":   solver,
+				"topology": buf.String(),
+				"demands":  demands,
+				"coverage": 1,
+			})
+			code, data := postJSON(t, ts.URL+"/v1/solve", string(req))
+			if code != http.StatusBadRequest || !strings.Contains(string(data), "demand 1") {
+				t.Errorf("%s, demand %v: status %d (%s), want 400 naming demand 1", solver, bad, code, data)
+			}
 		}
 	}
 	if v := metricValue(t, ts, "placementd_panics_total"); v != 0 {

@@ -13,6 +13,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/core"
@@ -151,7 +152,8 @@ func RouteMulti(pop *topology.POP, demands []Demand, maxRoutes int) (*core.Multi
 // routable rejects demand i when no route can carry it: an endpoint
 // outside g, or a source that is its own destination. Such a route
 // would cross no link, so no tap could see it, and its inverse-cost
-// share in RouteMulti would be NaN.
+// share in RouteMulti would be NaN. It also rejects a volume that is
+// not a positive finite number, which no solver accepts.
 func routable(g *graph.Graph, i int, d Demand) error {
 	n := graph.NodeID(g.NumNodes())
 	switch {
@@ -159,6 +161,8 @@ func routable(g *graph.Graph, i int, d Demand) error {
 		return fmt.Errorf("traffic: demand %d: endpoints %d→%d outside the %d-node graph", i, d.Src, d.Dst, n)
 	case d.Src == d.Dst:
 		return fmt.Errorf("traffic: demand %d: source and destination are both node %d", i, d.Src)
+	case !(d.Volume > 0) || math.IsInf(d.Volume, 0):
+		return fmt.Errorf("traffic: demand %d: volume %g is not a positive finite number", i, d.Volume)
 	}
 	return nil
 }

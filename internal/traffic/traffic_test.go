@@ -135,14 +135,20 @@ func TestRouteMultiRejectsBadK(t *testing.T) {
 // A demand no route can carry, its source being its destination or an
 // endpoint lying outside the graph, is an error naming the demand from
 // both routers: the single router would otherwise build a zero-link
-// traffic, the multi router a route of volume NaN.
+// traffic, the multi router a route of volume NaN. So is a volume that
+// is not a positive finite number, which every solver would refuse.
 func TestRoutersRejectUnroutableDemand(t *testing.T) {
 	pop := paperPOP(7)
 	demands := Demands(pop, Config{Seed: 7})[:5]
+	src, dst := demands[0].Src, demands[0].Dst
 	for _, bad := range []Demand{
-		{Src: demands[0].Src, Dst: demands[0].Src, Volume: 3},
-		{Src: -1, Dst: demands[0].Dst, Volume: 3},
-		{Src: demands[0].Src, Dst: graph.NodeID(pop.G.NumNodes()), Volume: 3},
+		{Src: src, Dst: src, Volume: 3},
+		{Src: -1, Dst: dst, Volume: 3},
+		{Src: src, Dst: graph.NodeID(pop.G.NumNodes()), Volume: 3},
+		{Src: src, Dst: dst, Volume: 0},
+		{Src: src, Dst: dst, Volume: -2},
+		{Src: src, Dst: dst, Volume: math.NaN()},
+		{Src: src, Dst: dst, Volume: math.Inf(1)},
 	} {
 		ds := append(append([]Demand(nil), demands...), bad)
 		if in, err := Route(pop, ds); err == nil || !strings.Contains(err.Error(), "demand 5") {

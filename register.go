@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/active"
 	"repro/internal/cover"
@@ -66,8 +67,11 @@ func init() {
 		return passive.SolveILP(ctx, in, o.Coverage, ilpOptions(passive.LP1, o))
 	})
 	tap(SolverTapExact, func(ctx context.Context, in *Instance, o Options) (TapPlacement, error) {
+		// The subtree phase runs on every core, the engine's default
+		// worker count; the cover is the same for any worker count.
 		return passive.ExactCover(ctx, in, o.Coverage, cover.ExactOptions{
 			MaxNodes: o.MaxNodes,
+			Workers:  runtime.GOMAXPROCS(0),
 			Warm:     o.warmCover,
 			Capture:  o.captureCover,
 		}), nil

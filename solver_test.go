@@ -2,9 +2,16 @@ package repro
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cover"
+	"repro/internal/passive"
 )
 
 func testInstance(t *testing.T, seed int64) *Instance {
@@ -134,6 +141,57 @@ func TestCancelMidSolveReturnsIncumbent(t *testing.T) {
 	}
 	if res.Stats.Wall <= 0 {
 		t.Fatal("missing wall time")
+	}
+}
+
+// TestTapExactParallelMatchesSerial holds the facade's tap/exact, whose
+// cover search runs its subtree phase on GOMAXPROCS workers, to the
+// serial oracle on the Figure 8 corpus: the same edges in the same
+// order, the same covered-volume bits and the same optimality flag,
+// including at the points the 100k-node cap stops.
+func TestTapExactParallelMatchesSerial(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const maxNodes = 100_000
+	ctx := context.Background()
+	dispatched, stolen := 0, 0
+	for seed := int64(0); seed < 4; seed++ {
+		cfg := Paper15
+		cfg.Seed = seed
+		pop := GeneratePOP(cfg)
+		in, err := RouteSingle(pop, GenerateDemands(pop, TrafficConfig{Seed: seed}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []float64{0.90, 0.95, 1.00} {
+			tag := fmt.Sprintf("seed %d k %.2f", seed, k)
+			res, err := Solve(ctx, SolverTapExact, in, WithCoverage(k), WithMaxNodes(maxNodes))
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			serial := passive.ExactCover(ctx, in, k, cover.ExactOptions{MaxNodes: maxNodes, Workers: 1})
+			if !slices.Equal(res.Taps.Edges, serial.Edges) {
+				t.Errorf("%s: edges %v, serial %v", tag, res.Taps.Edges, serial.Edges)
+			}
+			if math.Float64bits(res.Taps.Covered) != math.Float64bits(serial.Covered) {
+				t.Errorf("%s: covered %v, serial %v", tag, res.Taps.Covered, serial.Covered)
+			}
+			if res.Optimal != serial.Exact {
+				t.Errorf("%s: optimal %v, serial %v", tag, res.Optimal, serial.Exact)
+			}
+			dispatched += res.Stats.SubtreeTasks
+			stolen += res.Stats.Steals
+		}
+	}
+	// The comparison is vacuous if every solve closes in the serial
+	// burn-in, before any worker starts, or if only one worker ran:
+	// a task run off its round-robin home slot needs a second one.
+	if dispatched == 0 {
+		t.Fatal("no solve dispatched subtree tasks: the parallel phase never ran")
+	}
+	if stolen == 0 {
+		t.Fatal("no subtree task ran off its home worker: Solve's tap/exact ran on one worker")
 	}
 }
 
