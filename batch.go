@@ -131,12 +131,9 @@ func (r *Runner) SolveBatch(ctx context.Context, solver string, problems []Probl
 	o := BuildOptions(opts)
 	// The cache must never serve a clock-dependent result: bypass it
 	// when the solve is bounded by the batch options OR by a deadline
-	// already on the caller's context. Session warm solves get the same
-	// treatment — a result produced with injected warm artifacts carries
-	// different effort counters, so it must never be memoized under (or
-	// served from) a cold solve's key.
+	// already on the caller's context.
 	_, ctxDeadline := ctx.Deadline()
-	timeBounded := !o.Deadline.IsZero() || o.Timeout > 0 || ctxDeadline || o.sessionWarm()
+	timeBounded := !o.Deadline.IsZero() || o.Timeout > 0 || ctxDeadline
 	return engine.Map(ctx, r.eng, len(problems), func(ctx context.Context, i int) (*Result, error) {
 		p := problems[i]
 		key := ""

@@ -297,3 +297,76 @@ func TestRunnerCacheDirPersistsAcrossRestarts(t *testing.T) {
 		t.Fatalf("counts after junk file = %d/%d hit/miss, want 1/0", hits, misses)
 	}
 }
+
+// answerJSON canonicalizes a Result for byte-identity comparison: the
+// Stats block (wall clock and effort counters) is zeroed, and so is the
+// placement's embedded effort counter block, leaving only the answer.
+func answerJSON(t *testing.T, r *Result) string {
+	t.Helper()
+	cp := *r
+	cp.Stats = Stats{}
+	if cp.Taps != nil {
+		taps := *cp.Taps
+		taps.Stats = TapPlacement{}.Stats
+		cp.Taps = &taps
+	}
+	b, err := json.Marshal(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestDegradedResultNotCached extends the engine's WithoutCaching
+// discipline to time-bounded batches: a batch under a deadline (option
+// or context) must bypass the cache entirely — its incumbents are
+// clock-shaped — so a later unhurried batch on the same runner solves
+// fresh and gets the full proof, never a capped incumbent.
+func TestDegradedResultNotCached(t *testing.T) {
+	ctx := context.Background()
+	s, err := GenerateScenario("pop", 19, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := s.Instance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(WithWorkers(1))
+
+	// Once under a context deadline, once under the option timeout:
+	// both forms must leave the cache untouched.
+	cctx, cancel := context.WithTimeout(ctx, time.Millisecond)
+	_, err = r.SolveBatch(cctx, SolverTapExact, []Problem{in}, WithCoverage(0.93))
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.SolveBatch(ctx, SolverTapExact, []Problem{in}, WithCoverage(0.93), WithTimeout(time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := r.CacheCounts(); hits+misses != 0 {
+		t.Fatalf("time-bounded batches touched the cache (hits=%d misses=%d)", hits, misses)
+	}
+
+	full, err := r.SolveBatch(ctx, SolverTapExact, []Problem{in}, WithCoverage(0.93))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full[0].Optimal {
+		t.Fatal("unhurried batch did not close — was a capped incumbent served?")
+	}
+	if hits, misses := r.CacheCounts(); hits != 0 || misses != 1 {
+		t.Fatalf("unhurried batch should be the cache's first miss (hits=%d misses=%d)", hits, misses)
+	}
+	again, err := r.SolveBatch(ctx, SolverTapExact, []Problem{in}, WithCoverage(0.93))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, _ := r.CacheCounts(); hits != 1 {
+		t.Fatalf("identical unhurried batch should hit the cache (hits=%d)", hits)
+	}
+	if w, c := answerJSON(t, again[0]), answerJSON(t, full[0]); w != c {
+		t.Errorf("cache served a different answer\nfirst: %s\nsecond: %s", c, w)
+	}
+}

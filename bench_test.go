@@ -491,97 +491,3 @@ func BenchmarkAblationRounding(b *testing.B) {
 		}
 	}
 }
-
-// churnResolveChain replays the session benchmark's churn family
-// workload: a 20-endpoint churn scenario whose demand matrix is
-// re-weighted each step (volumes drawn from [0.8, 1.25], rows kept) —
-// the DeltaRescale mutation class under which a Session ships the
-// saved root LP basis.
-func churnResolveChain(tb testing.TB, steps int) []*Instance {
-	tb.Helper()
-	s, err := GenerateScenario("churn", 20, 4)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	dem := s.Demands
-	in, err := RouteSingle(s.POP, traffic.Aggregate(dem))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	chain := []*Instance{in}
-	for step := 1; step <= steps; step++ {
-		mutated, _, err := traffic.ChurnWithDelta(s.POP, dem, traffic.ChurnConfig{
-			Seed: s.Seed + int64(step), Drop: 1e-12, Add: 1e-12,
-			RescaleLow: 0.8, RescaleHigh: 1.25,
-		})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		next, err := RouteSingle(s.POP, traffic.Aggregate(mutated))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		chain = append(chain, next)
-		dem = mutated
-	}
-	return chain
-}
-
-// BenchmarkChurnResolve is the session re-optimization claim (DESIGN.md
-// §10): re-solving a churn-mutated instance warm must be ≥10× faster
-// than cold on the churn family, with identical answers. Two variants
-// solve steps 1..6 of the replay chain (step 0 is cold for both and
-// excluded):
-//
-//	cold        no artifacts — the pre-session baseline
-//	warm_basis  the previous step's saved root LP basis seeds the
-//	            phase-2 root LP; the warm dual-simplex re-solve
-//	            re-derives the reduced-cost set bans, the cover solver's
-//	            cutting-plane analog
-//
-// nodes/op, pivots/op and warmstarts/op expose where the speedup comes
-// from: the warm basis collapses the root LP re-solve (pivots), which
-// dominates the cold wall clock on this instance.
-func BenchmarkChurnResolve(b *testing.B) {
-	ctx := context.Background()
-	const k, steps = 0.95, 6
-	chain := churnResolveChain(b, steps)
-	// Per-step cold reference solves, outside the timer: answers to
-	// check against and the bases the warm variant consumes.
-	bases := make([]*lp.Basis, len(chain))
-	ref := make([]passive.Placement, len(chain))
-	for i, in := range chain {
-		capt := &cover.Capture{}
-		pl := passive.ExactCover(ctx, in, k, cover.ExactOptions{Capture: capt})
-		if !pl.Exact {
-			b.Fatalf("reference solve %d did not close", i)
-		}
-		ref[i] = pl
-		bases[i] = capt.Basis
-	}
-	run := func(b *testing.B, warmOf func(step int) *cover.Warm) {
-		var nodes, pivots, warm int
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for step := 1; step < len(chain); step++ {
-				pl := passive.ExactCover(ctx, chain[step], k, cover.ExactOptions{Warm: warmOf(step)})
-				nodes += pl.Stats.Nodes
-				pivots += pl.Stats.Pivots
-				warm += pl.Stats.WarmStarts
-				if !pl.Exact || len(pl.Edges) != len(ref[step].Edges) {
-					b.Fatalf("step %d: warm answer diverged (exact=%v devices=%d want %d)",
-						step, pl.Exact, len(pl.Edges), len(ref[step].Edges))
-				}
-			}
-		}
-		b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-		b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
-		b.ReportMetric(float64(warm)/float64(b.N), "warmstarts/op")
-	}
-	b.Run("cold", func(b *testing.B) {
-		run(b, func(int) *cover.Warm { return nil })
-	})
-	b.Run("warm_basis", func(b *testing.B) {
-		run(b, func(step int) *cover.Warm { return &cover.Warm{Basis: bases[step-1]} })
-	})
-}

@@ -15,8 +15,7 @@
 // Per-figure progress/timing lines (wall clock, engine cells, cache
 // hits/misses, aggregated solver effort) go to stderr; series go to
 // stdout. One figure table drives both modes: -bench-json times each
-// entry exactly as -figure renders it (output discarded), then appends
-// the churn_resolve session entry.
+// entry exactly as -figure renders it (output discarded).
 package main
 
 import (
@@ -50,7 +49,6 @@ func run(args []string, out, progress io.Writer) error {
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole run; expired exact solves report their incumbents (0 = none)")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "engine workers per figure (1 = serial; output is byte-identical either way)")
 	benchJSON := fs.String("bench-json", "", "time every figure at -seeds averaging and write the wall-clock JSON report here (e.g. BENCH_figs.json); series output is suppressed")
-	churnSteps := fs.Int("churn-steps", 0, "replay N rescale churn steps through a warm repro.Session against cold solves (DESIGN.md §10) and exit; errors on any warm/cold divergence")
 	version := fs.Bool("version", false, "print build information and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -76,10 +74,6 @@ func run(args []string, out, progress io.Writer) error {
 	}
 	if *benchJSON != "" {
 		return writeBenchJSON(ctx, *benchJSON, *figure, *seeds, *parallel, out)
-	}
-	if *churnSteps > 0 {
-		_, err := churnReplay(ctx, *churnSteps, out, progress)
-		return err
 	}
 
 	var dot io.Writer
@@ -227,14 +221,6 @@ type benchEntry struct {
 	CacheHits    int     `json:"cache_hits"`
 	CacheMisses  int     `json:"cache_misses"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// Session re-optimization fields, set only on the churn_resolve
-	// entry: warm-start count (deterministic), the cold baseline's wall
-	// clock, and the warm/cold speedup tracking the ≥10× claim per PR.
-	// Like wall_ms, the latter two are clock-shaped — CI's counter diff
-	// strips them.
-	WarmStarts int     `json:"warm_starts,omitempty"`
-	ColdWallMS float64 `json:"cold_wall_ms,omitempty"`
-	SpeedupX   float64 `json:"speedup_x,omitempty"`
 }
 
 // hitRate is hits/(hits+misses), 0 when the cache saw no lookups.
@@ -278,27 +264,6 @@ func writeBenchJSON(ctx context.Context, path, figure string, seeds, parallel in
 			CacheHits: int(hits), CacheMisses: int(misses), CacheHitRate: hitRate(hits, misses)})
 		fmt.Fprintf(log, "bench %-10s %10.1f ms  nodes=%d pivots=%d cuts=%d subtrees=%d domprunes=%d cache=%d/%d\n",
 			f.name, ms, st.Nodes, st.Pivots, st.CutsAdded, st.SubtreeTasks, st.DominancePrunes, hits, misses)
-	}
-	// The session re-optimization figure runs off-engine (a Session
-	// serializes its own solves): six rescale churn steps, warm Resolve
-	// vs cold Solve, per BenchmarkChurnResolve's workload.
-	if figure == "all" || figure == "churn_resolve" {
-		matched = true
-		st, err := churnReplay(ctx, 6, io.Discard, io.Discard)
-		if err != nil {
-			return fmt.Errorf("bench churn_resolve: %w", err)
-		}
-		warmMS := float64(st.WarmWall.Microseconds()) / 1000
-		coldMS := float64(st.ColdWall.Microseconds()) / 1000
-		speedup := 0.0
-		if warmMS > 0 {
-			speedup = coldMS / warmMS
-		}
-		report.Figures = append(report.Figures, benchEntry{Name: "churn_resolve",
-			WallMS: warmMS, ColdWallMS: coldMS, SpeedupX: speedup,
-			Nodes: st.Nodes, Pivots: st.Pivots, WarmStarts: st.WarmStarts})
-		fmt.Fprintf(log, "bench %-10s %10.1f ms  cold=%.1f ms (%.1fx)  nodes=%d pivots=%d warmstarts=%d\n",
-			"churn_resolve", warmMS, coldMS, speedup, st.Nodes, st.Pivots, st.WarmStarts)
 	}
 	if !matched {
 		return fmt.Errorf("unknown figure %q", figure)

@@ -90,35 +90,6 @@ func TestReplayFigure(t *testing.T) {
 	}
 }
 
-// TestChurnReplay drives the -churn-steps session replay: the mode
-// must verify warm==cold itself (a divergence is an error), report the
-// delta class and effort counters on stdout, keep wall clock on
-// stderr, and emit deterministic stdout bytes across repeat runs.
-func TestChurnReplay(t *testing.T) {
-	var out, progress strings.Builder
-	if err := run([]string{"-churn-steps", "2"}, &out, &progress); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"session re-optimization", "rescale", "warmstarts"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("churn replay output missing %q:\n%s", want, out.String())
-		}
-	}
-	if !strings.Contains(progress.String(), "churn replay cold") {
-		t.Errorf("churn replay timing line missing from stderr:\n%s", progress.String())
-	}
-	if strings.Contains(out.String(), "repro: churn replay") {
-		t.Error("wall clock progress line leaked onto stdout")
-	}
-	var out2, prog2 strings.Builder
-	if err := run([]string{"-churn-steps", "2"}, &out2, &prog2); err != nil {
-		t.Fatal(err)
-	}
-	if out2.String() != out.String() {
-		t.Fatalf("churn replay stdout not deterministic:\n%s\nvs:\n%s", out.String(), out2.String())
-	}
-}
-
 // TestParallelFlagByteIdentical is the CLI face of the engine's
 // determinism guarantee: -parallel 1 and -parallel 8 emit the same
 // bytes on stdout for every figure, with progress confined to stderr.
@@ -162,7 +133,7 @@ func TestParallelFlagByteIdentical(t *testing.T) {
 }
 
 // TestBenchJSONTimesThePrintTable: -bench-json reports one entry per
-// figure of the print table, in print order, then churn_resolve.
+// figure of the print table, in print order, and nothing else.
 func TestBenchJSONTimesThePrintTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("times every figure; TestParallelFlagByteIdentical already renders the table in -short mode")
@@ -186,7 +157,6 @@ func TestBenchJSONTimesThePrintTable(t *testing.T) {
 	for _, f := range figures(nil, io.Discard) {
 		want = append(want, f.name)
 	}
-	want = append(want, "churn_resolve")
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("bench entries %v, want %v", got, want)
 	}

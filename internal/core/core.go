@@ -26,7 +26,7 @@ type SolveStats struct {
 	// pure heuristics).
 	Nodes int
 	// Pivots is the total simplex iterations across all LP relaxations
-	// (0 for combinatorial solvers).
+	// (0 for combinatorial solvers, the cover search included).
 	Pivots int
 	// Refactorizations is the total basis LU refactorizations of the
 	// sparse revised simplex across all LP relaxations.
@@ -34,16 +34,16 @@ type SolveStats struct {
 	// DevexResets is the total Devex pricing reference-framework
 	// resets across all LP relaxations.
 	DevexResets int
-	// WarmStarts is the number of branch-and-bound nodes whose LP
-	// relaxation was warm-started from the parent's basis, plus the
-	// seeded root LP basis a session solve applied.
+	// WarmStarts is the number of MIP branch-and-bound nodes whose LP
+	// relaxation was warm-started from the parent's basis (0 for the
+	// cover search, which solves no LP).
 	WarmStarts int
 	// CutsAdded is the number of cutting planes (lifted cover and
 	// clique cuts) the MIP root separation added.
 	CutsAdded int
-	// VarsFixed is the number of variables permanently fixed by
-	// reduced-cost fixing (MIP root and incumbent improvements, plus
-	// the cover solver's reduced-cost set exclusions).
+	// VarsFixed is the number of variables permanently fixed by the
+	// MIP's reduced-cost fixing (root and incumbent improvements; 0 for
+	// the cover search, which solves no LP).
 	VarsFixed int
 	// PresolveRemoved is the number of columns and rows the MIP
 	// presolve removed before the root solve.

@@ -127,8 +127,6 @@ type Result struct {
 	//   - Nodes, the branch-and-bound nodes. With Workers > 1 the total
 	//     is schedule-dependent for subtrees the shared incumbent
 	//     aborted early; at Workers <= 1 it is exactly reproducible.
-	//   - VarsFixed, the sets permanently excluded by the root LP's
-	//     reduced-cost fixing.
 	//   - SubtreeTasks, the frontier subtree tasks dispatched over the
 	//     worker pool (0 when the search closed in the serial burn-in).
 	//     The frontier is worker-count independent.
@@ -138,10 +136,8 @@ type Result struct {
 	//     dominance (exclude branches drop every candidate whose
 	//     residual coverage the branched set contains). Schedule-
 	//     dependent like Nodes when Workers > 1.
-	//   - Pivots, the simplex iterations of the root LP solves (0 when
-	//     the LP was skipped).
-	//   - WarmStarts, 1 when the root LP completed on a seeded basis
-	//     (ExactOptions.Warm), else 0. Always 0 for cold solves.
+	// The search solves no LP, so Pivots, WarmStarts and VarsFixed
+	// stay 0.
 	core.SolveStats
 }
 
@@ -206,40 +202,13 @@ type ExactOptions struct {
 	// phase; <= 1 runs the identical algorithm serially (the oracle:
 	// the returned cover is byte-identical for any worker count).
 	Workers int
-	// Warm carries artifacts from a previous solve of a related
-	// instance (nil = cold solve). The warm solve runs the cold control
-	// flow; the artifacts only seed the phase-2 root LP and are
-	// revalidated against THIS instance there, so a stale Warm can only
-	// cost time, never correctness — and never the answer: the returned
-	// cover is byte-identical to a cold solve's whenever both prove
-	// optimality (see the reconstruction phase in Exact).
-	Warm *Warm
-	// Capture, when non-nil, receives artifacts of this solve for a
-	// future warm re-solve. Capturing never changes the solve itself.
-	Capture *Capture
-}
-
-// Warm is the artifact bundle a warm solve may reuse.
-type Warm struct {
-	// Basis seeds the root LP via lp.SolveContextFrom. A basis whose
-	// shape no longer matches (the mutation changed the LP dimensions)
-	// falls back to a cold LP solve inside the lp package.
-	Basis *lp.Basis
-}
-
-// Capture receives artifacts of a solve for reuse by a later warm one.
-type Capture struct {
-	// Basis is the final root LP basis (nil when the LP never ran).
-	Basis *lp.Basis
 }
 
 // Exact solves Minimum Partial Cover exactly with branch and bound:
 // depth-first search that always branches on the set with the largest
 // residual coverage (include first, giving a greedy dive for early
-// incumbents) and prunes with an optimistic additive bound, (full
-// covers) a disjoint-family bound, and — once a search survives the
-// burn-in on an instance within rootLPRowCap — the root LP bound with
-// reduced-cost set bans.
+// incumbents) and prunes with an optimistic additive bound and, on
+// full covers, a disjoint-family bound.
 //
 // Before searching it runs a kernelization fixpoint: dominated sets
 // (residual coverage contained in another's) are excluded, and for
@@ -250,15 +219,16 @@ type Capture struct {
 // only the lowest-index permutation of residual-identical sets is
 // explored).
 //
-// The search itself runs in four deterministic phases (DESIGN.md §4a):
-// a serial burn-in with a fixed node budget closes easy instances
-// outright; a surviving search pays one root LP for reduced-cost set
-// bans; the tree is then expanded serially to a fixed-depth frontier
-// of independent subtree tasks; and the tasks run on opts.Workers
-// workers with a shared atomic incumbent used only for whole-subtree
-// aborts. The merged result is chosen by (cover size, task index), so
-// the returned cover is byte-identical for any worker count — one
-// worker is the oracle the parallel runs are compared against.
+// The search itself runs in three deterministic value phases
+// (DESIGN.md §4a): a serial burn-in of burnInNodes nodes closes easy
+// instances outright; a surviving search is expanded serially to a
+// fixed-depth frontier of independent subtree tasks; and the tasks run
+// on opts.Workers workers with a shared atomic incumbent used only for
+// whole-subtree aborts. The merged result is chosen by (cover size,
+// task index), so the returned cover is byte-identical for any worker
+// count — one worker is the oracle the parallel runs are compared
+// against. A reconstruction phase then returns the cover the plain
+// serial search finds.
 //
 // When ctx fires mid-search the best incumbent found so far by any
 // phase or worker (at worst the greedy warm start) is returned with
@@ -315,23 +285,15 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 			coveredW += s.in.weight(e)
 		}
 	}
-	s.rootExcluded, s.forced = excluded, forced
-	s.capture = opts.Capture
 	s.prepareGains(covered, excluded)
 
-	if opts.Warm != nil {
-		s.seedBasis = opts.Warm.Basis
-	}
-	s.runValuePhases(opts.MaxNodes, workers, excluded, covered, coveredW, forced)
+	s.runValuePhases(opts.MaxNodes, workers, covered, coveredW, forced)
 	if s.capped || s.ctx.Err() != nil {
-		// Capped or canceled: the best incumbent with Exact=false, the
-		// historical behaviour, byte-identical to the pre-session solver
-		// for cold solves.
+		// Capped or canceled: the best incumbent with Exact=false.
 		return s.resultOn(in)
 	}
 
-	// Value phase proved optimality: opt is a property of the instance
-	// alone, whichever basis the root LP started from.
+	// The value phases proved optimality: opt is the optimum size.
 	opt := s.bestLen
 	if opt >= len(greedy.Chosen) {
 		// The greedy cover is itself optimal. The search only ever
@@ -341,15 +303,15 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 	}
 
 	// Reconstruction phase: re-derive the RETURNED cover from
-	// (instance, opt) alone, so the answer is identical whether the
-	// proof above ran cold or warm. The fresh serial search uses only
-	// instance-deterministic pruning state (presolve, residual gains,
-	// disjoint families — never LP reduced-cost bans, whose values
-	// depend on the basis the simplex happened to end on) with the
-	// proven optimum as a perfect bound: the first accepted cover has
-	// exactly opt sets and stops the search. Bounds only prune, never
-	// reorder, so that cover is the first size-opt one in the search's
-	// own branching order, whichever bounds the value phase used.
+	// (instance, opt) alone, so it is the cover the plain serial search
+	// returns. The value phases need not return that one: the frontier
+	// walk accepts a shallow cover of optimum size before the subtree
+	// tasks that precede it in search order run, and a task holding a
+	// different cover of that size does not replace it. The fresh
+	// serial search runs with the proven optimum as a perfect bound:
+	// the first accepted cover has exactly opt sets and stops the
+	// search. Bounds only prune, never reorder, so that cover is the
+	// first size-opt one in the search's own branching order.
 	r := &exactSearch{
 		ctx:     ctx,
 		in:      s.in,
@@ -358,11 +320,7 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 		best:    append([]int(nil), greedy.Chosen...),
 		bestLen: opt + 1,
 		maxN:    opts.MaxNodes,
-
-		rootLB:       opt,
-		haveRootLB:   true,
-		rootExcluded: s.rootExcluded,
-		forced:       s.forced,
+		goal:    opt,
 
 		setMasks:     s.setMasks,
 		elemCoverers: s.elemCoverers,
@@ -376,9 +334,9 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 		frontierDepth: -1,
 	}
 	r.search(covered, coveredW, forced)
-	if r.doneOptimal {
+	if r.goalMet {
 		res := r.resultOn(in)
-		res.Add(s.effort())
+		res.Add(s.st)
 		return res
 	}
 	if ctx.Err() != nil {
@@ -387,31 +345,29 @@ func Exact(ctx context.Context, in Instance, target float64, opts ExactOptions) 
 		// Exact=false like every canceled search.
 		s.capped = true
 		res := s.resultOn(in)
-		res.Add(r.effort())
+		res.Add(r.st)
 		return res
 	}
 	// The reconstruction exhausted its own node budget before accepting
 	// a cover (pathological: its pruning bound is perfect). Fall back to
-	// the greedy cover — deterministic on both the cold and warm path —
-	// and report Exact=false: the optimum value was proven but the
-	// canonical witness was not reproduced within budget.
+	// the greedy cover and report Exact=false: the optimum value was
+	// proven but the canonical witness was not reproduced within budget.
 	g := greedy
 	g.Exact = false
-	g.SolveStats = s.effort()
-	g.Add(r.effort())
+	g.SolveStats = s.st
+	g.Add(r.st)
 	return g
 }
 
-// runValuePhases runs the four search phases (DESIGN.md §4a) that prove
-// the optimum value (or exhaust the budget): serial burn-in, root LP
-// strengthening, frontier expansion, parallel subtrees. On return
-// either s.capped (budget/cancel) or optimality is proven with
-// s.bestLen the optimum.
-func (s *exactSearch) runValuePhases(maxNodes, workers int, excluded []bool, covered bitset, coveredW float64, forced []int) {
-	// Phase 1 — serial burn-in: the strengthened serial search with a
-	// fixed node budget. Most instances close here; the budget (not a
-	// wall clock) keeps the phase boundary deterministic.
-	burnIn := coverLPTrigger
+// runValuePhases runs the three search phases (DESIGN.md §4a) that
+// prove the optimum value (or exhaust the budget): serial burn-in,
+// frontier expansion, parallel subtrees. On return either s.capped
+// (budget/cancel) or optimality is proven with s.bestLen the optimum.
+func (s *exactSearch) runValuePhases(maxNodes, workers int, covered bitset, coveredW float64, forced []int) {
+	// Phase 1 — serial burn-in: the serial search with a fixed node
+	// budget. Most instances close here; the budget (not a wall clock)
+	// keeps the phase boundary deterministic.
+	burnIn := burnInNodes
 	if burnIn > maxNodes {
 		burnIn = maxNodes
 	}
@@ -421,36 +377,9 @@ func (s *exactSearch) runValuePhases(maxNodes, workers int, excluded []bool, cov
 		// Closed, canceled, or the real node budget is exhausted.
 		return
 	}
-
-	// Phase 2 — root strengthening at a deterministic decision point:
-	// a search that survived the burn-in pays one LP solve for a global
-	// lower bound and reduced-cost set bans. The bans are frozen
-	// against the burn-in incumbent before any parallelism starts, so
-	// they cannot leak schedule timing into branch selection. A warm
-	// solve seeds this LP with the saved basis. An instance above
-	// rootLPRowCap skips the LP, and phase 2 then does nothing.
 	s.capped = false
-	if z, dj, sol, ok := rootLP(s.ctx, s.in, s.target, excluded, forced, s.seedBasis); ok {
-		s.lpZ, s.lpDj = z, dj
-		s.st.Pivots += sol.Iterations
-		if sol.Warm {
-			s.st.WarmStarts++
-		}
-		if s.capture != nil {
-			s.capture.Basis = sol.Basis()
-		}
-		if rlb := int(math.Ceil(z - 1e-6)); rlb > s.rootLB {
-			s.rootLB = rlb
-		}
-		s.haveRootLB = s.rootLB >= 1
-		s.banned = make([]bool, len(s.in.Sets))
-		s.refreshBans()
-		if s.bestLen <= s.rootLB {
-			return // the incumbent meets the LP bound
-		}
-	}
 
-	// Phase 3 — frontier expansion: re-walk the tree serially, cutting
+	// Phase 2 — frontier expansion: re-walk the tree serially, cutting
 	// it at a fixed depth into independent subtree tasks. The frontier
 	// depends only on deterministic state (never on worker count), and
 	// a second, deeper pass splits further when the first one yields
@@ -459,43 +388,18 @@ func (s *exactSearch) runValuePhases(maxNodes, workers int, excluded []bool, cov
 	for _, d := range []int{frontierDepth, frontierDepth + 4} {
 		s.tasks, s.frontierDepth, s.depth = nil, d, 0
 		s.search(covered, coveredW, forced)
-		if s.capped || s.doneOptimal || s.ctx.Err() != nil || len(s.tasks) >= frontierMinTasks {
+		if s.capped || s.ctx.Err() != nil || len(s.tasks) >= frontierMinTasks {
 			break
 		}
 	}
 	s.frontierDepth = -1
-	if len(s.tasks) == 0 || s.capped || s.doneOptimal || s.ctx.Err() != nil {
+	if len(s.tasks) == 0 || s.capped || s.ctx.Err() != nil {
 		// The depth-limited walk closed (or capped) the search itself.
 		return
 	}
 
-	// Phase 4 — parallel subtree search with deterministic merge.
+	// Phase 3 — parallel subtree search with deterministic merge.
 	s.runSubtrees(workers, maxNodes)
-}
-
-// lpRowsOK reports whether the instance is small enough for a cold root
-// LP (rootLPRowCap); a seeded basis bypasses the cap, since the warm
-// solve is expected to finish in a handful of dual pivots.
-func lpRowsOK(in Instance) bool {
-	rows := 0
-	for e := 0; e < in.NumElements; e++ {
-		if !lp.StructZero(in.weight(e)) {
-			rows++
-		}
-	}
-	return rows <= rootLPRowCap
-}
-
-// effort returns the search's counters with the sets excluded by
-// reduced-cost fixing counted as VarsFixed.
-func (s *exactSearch) effort() core.SolveStats {
-	st := s.st
-	for _, b := range s.banned {
-		if b {
-			st.VarsFixed++
-		}
-	}
-	return st
 }
 
 // frontierDepth is the branching depth at which the tree is cut into
@@ -700,29 +604,15 @@ type exactSearch struct {
 	capped  bool
 
 	// st counts the search's effort. Nodes and DominancePrunes count
-	// in every search and task clone; SubtreeTasks, Steals, Pivots and
-	// WarmStarts only in the root search. VarsFixed is derived from
-	// banned by effort.
+	// in every search and task clone; SubtreeTasks and Steals only in
+	// the root search.
 	st core.SolveStats
 
-	// Root LP strengthening state (the set-cover face of the MIP
-	// pipeline, see DESIGN.md §4). The LP is paid at most once, at the
-	// deterministic burn-in → parallel phase boundary. lpZ is
-	// the relaxation objective, lpDj the per-set reduced costs (nil
-	// when the LP was skipped or failed), rootLB the global lower bound
-	// (ceil of the LP objective, or the proven optimum in the
-	// reconstruction search; haveRootLB when meaningful), banned the
-	// sets excluded by reduced cost against the current incumbent, and
-	// doneOptimal flips when the incumbent meets rootLB (the rest of
-	// the tree cannot improve and the search stops, still exact).
-	lpZ          float64
-	lpDj         []float64
-	rootLB       int
-	haveRootLB   bool
-	banned       []bool
-	doneOptimal  bool
-	rootExcluded []bool
-	forced       []int
+	// goal, when positive, is the proven optimum the reconstruction
+	// search re-derives a cover for: its first cover of at most goal
+	// sets stops the search, and goalMet records that it did.
+	goal    int
+	goalMet bool
 
 	// In-search dominance state: setMasks[si] is set si's positive-
 	// weight element bitmap (nil for root-excluded sets).
@@ -747,12 +637,6 @@ type exactSearch struct {
 	pubG    *atomicMin
 	taskLB  int
 	aborted bool
-
-	// The caller's capture sink for the final root LP basis (root
-	// search only). seedBasis warm-starts the phase-2 root LP when a
-	// previous solve shipped one.
-	capture   *Capture
-	seedBasis *lp.Basis
 
 	// Disjoint-elements bound state (full covers only): per-element
 	// covering-set bitmaps in a processing order of increasing coverer
@@ -922,107 +806,11 @@ func (s *exactSearch) disjointBound(enough int) int {
 	return bound
 }
 
-// rootLPRowCap skips the root LP on instances whose relaxation would
-// have more element rows than this: on the paper's large partial-cover
-// instances the covering LP is both degenerate (tens of thousands of
-// pivots) and weak (a structural integrality gap), so it cannot pay
-// for itself. coverLPTrigger keeps the LP lazy — only searches that
-// survive that many serial burn-in nodes buy the bound.
-const rootLPRowCap = 300
-
-// coverLPTrigger is the serial burn-in node budget: searches that close
-// within it never pay for the root LP, the frontier expansion, or the
-// parallel machinery. A var only so the test suite can force the
-// strengthened phases on tiny searches (or disable them); production
-// code never writes it.
-var coverLPTrigger = 2048
-
-// isBanned reports whether reduced-cost fixing excluded the set.
-func (s *exactSearch) isBanned(si int) bool {
-	return s.banned != nil && s.banned[si]
-}
-
-// refreshBans re-applies the reduced-cost exclusion test against the
-// current incumbent: a cover containing set si costs at least
-// lpZ + dj_si, so when that exceeds bestLen−1 no improving cover uses
-// si. Bans only grow as the incumbent improves.
-func (s *exactSearch) refreshBans() {
-	cut := float64(s.bestLen-1) + 1e-6
-	for si, dj := range s.lpDj {
-		if !s.banned[si] && s.lpZ+dj > cut {
-			s.banned[si] = true
-		}
-	}
-}
-
-// rootLP solves the LP relaxation of the (reduced) partial-cover
-// instance: min Σ x_s subject to δ_e ≤ Σ_{s∋e} x_s, Σ w_e·δ_e ≥ target,
-// x over the non-excluded sets (forced sets pinned to 1). It returns
-// the objective, the per-set reduced costs for reduced-cost fixing, and
-// the lp solution (effort counters, final basis); ok is false when the
-// LP was canceled or failed (the search then just runs unstrenghtened).
-// A non-nil seed warm-starts the simplex from a previous solve's basis;
-// a shape mismatch falls back to a cold solve inside lp.
-func rootLP(ctx context.Context, in Instance, target float64, excluded []bool, forced []int, seed *lp.Basis) (z float64, dj []float64, lpSol *lp.Solution, ok bool) {
-	if seed == nil && !lpRowsOK(in) {
-		return 0, nil, nil, false
-	}
-	p := lp.NewProblem(lp.Minimize)
-	p.SetExtractDuals(true)
-	xs := make([]lp.Var, len(in.Sets))
-	isForced := make([]bool, len(in.Sets))
-	for _, si := range forced {
-		isForced[si] = true
-	}
-	for si := range in.Sets {
-		lo, hi := 0.0, 1.0
-		switch {
-		case excluded[si]:
-			hi = 0
-		case isForced[si]:
-			lo = 1
-		}
-		xs[si] = p.AddVariable("x", lo, hi, 1)
-	}
-	coverers := make([][]int32, in.NumElements)
-	for si, set := range in.Sets {
-		if excluded[si] {
-			continue
-		}
-		for _, e := range set {
-			coverers[e] = append(coverers[e], int32(si))
-		}
-	}
-	var covTerms []lp.Term
-	for e := 0; e < in.NumElements; e++ {
-		w := in.weight(e)
-		if lp.StructZero(w) {
-			continue
-		}
-		d := p.AddVariable("d", 0, 1, 0)
-		covTerms = append(covTerms, lp.Term{Var: d, Coef: w})
-		terms := make([]lp.Term, 0, len(coverers[e])+1)
-		terms = append(terms, lp.Term{Var: d, Coef: -1})
-		prev := int32(-1)
-		for _, si := range coverers[e] {
-			if si != prev { // a set may list an element twice
-				terms = append(terms, lp.Term{Var: xs[si], Coef: 1})
-			}
-			prev = si
-		}
-		p.AddConstraint(lp.GE, 0, terms...)
-	}
-	p.AddConstraint(lp.GE, target, covTerms...)
-	sol, err := p.SolveContextFrom(ctx, seed)
-	if err != nil || sol.Status != lp.Optimal || sol.ReducedCosts == nil {
-		return 0, nil, nil, false
-	}
-	dj = make([]float64, len(in.Sets))
-	for si := range in.Sets {
-		dj[si] = sol.ReducedCosts[xs[si]]
-	}
-	return sol.Objective, dj, sol, true
-}
+// burnInNodes is the serial burn-in node budget: searches that close
+// within it never pay for the frontier expansion or the parallel
+// machinery. A var only so tests (forceParallelPhases) can force the
+// parallel phases on tiny searches; production code never writes it.
+var burnInNodes = 2048
 
 // mergeSignatures collapses elements covered by exactly the same sets
 // into one element of summed weight. Sound for any coverage target:
@@ -1088,11 +876,10 @@ func (s *exactSearch) boundAndBranch(remaining float64, maxUseful int) (int, int
 		k = 1
 	}
 	buf := s.scratch[:0]
-	banned := s.banned
 	branch := -1
 	g1, sum := 0.0, 0.0
 	for si, g := range s.gains {
-		if g <= 0 || (banned != nil && banned[si]) {
+		if g <= 0 {
 			continue
 		}
 		sum += g
@@ -1156,7 +943,7 @@ func (s *exactSearch) boundAndBranch(remaining float64, maxUseful int) (int, int
 }
 
 func (s *exactSearch) search(covered bitset, coveredW float64, chosen []int) {
-	if s.capped || s.doneOptimal || s.aborted {
+	if s.capped || s.goalMet || s.aborted {
 		return
 	}
 	s.st.Nodes++
@@ -1188,17 +975,10 @@ func (s *exactSearch) search(covered bitset, coveredW float64, chosen []int) {
 				// Publish immediately so sibling subtrees can abort.
 				s.pubG.publish(int64(s.bestLen))
 			}
-			if s.haveRootLB && s.bestLen <= s.rootLB {
-				// An incumbent at the root bound is proven optimal:
-				// stop the whole (sub)search.
-				s.doneOptimal = true
+			if s.goal > 0 && s.bestLen <= s.goal {
+				// A cover of the proven optimum size: stop.
+				s.goalMet = true
 				return
-			}
-			if s.lpDj != nil {
-				// Tighten the reduced-cost exclusions against the
-				// improved cutoff (task-local: bans derive only from
-				// this search's own deterministic incumbent).
-				s.refreshBans()
 			}
 		}
 		return
@@ -1280,7 +1060,7 @@ func (s *exactSearch) restoreGains(mark int) {
 func (s *exactSearch) excludeDominatedBy(branch int, covered bitset) {
 	bm := s.setMasks[branch]
 	for sj := range s.gains {
-		if s.gains[sj] <= 0 || sj == branch || s.isBanned(sj) {
+		if s.gains[sj] <= 0 || sj == branch {
 			continue
 		}
 		jm := s.setMasks[sj]

@@ -13,14 +13,14 @@ import (
 // them out over a bounded worker pool, and the results merge by
 // (cover size, task index). Determinism discipline (DESIGN.md §4a):
 // every task searches against ONLY its own deterministic state — local
-// incumbent seeded from the serial phases, task-local reduced-cost
-// bans, task-local node budget — so each task's report is independent
-// of scheduling. The shared atomic incumbent is written eagerly but
-// read solely for the whole-subtree abort taskLB > G, which can only
-// drop subtrees whose every solution provably loses the merge. A task
-// that would win the merge (lowest index reporting the final minimum
-// L*) has taskLB ≤ L* ≤ G at all times, so it can never abort: the
-// merged cover is byte-identical for any worker count and schedule.
+// incumbent seeded from the serial phases, task-local node budget — so
+// each task's report is independent of scheduling. The shared atomic
+// incumbent is written eagerly but read solely for the whole-subtree
+// abort taskLB > G, which can only drop subtrees whose every solution
+// provably loses the merge. A task that would win the merge (lowest
+// index reporting the final minimum L*) has taskLB ≤ L* ≤ G at all
+// times, so it can never abort: the merged cover is byte-identical for
+// any worker count and schedule.
 
 // coverTask is one frontier node: the deterministic snapshot of the
 // mutable search state at a fixed branching depth.
@@ -81,13 +81,6 @@ func (s *exactSearch) taskSearch(t *coverTask, budget int, g *atomicMin, scr *se
 		bestLen: s.bestLen,
 		maxN:    budget,
 
-		lpZ:          s.lpZ,
-		lpDj:         s.lpDj,
-		rootLB:       s.rootLB,
-		haveRootLB:   s.haveRootLB,
-		rootExcluded: s.rootExcluded,
-		forced:       s.forced,
-
 		elemCoverers: s.elemCoverers,
 		elemOrder:    s.elemOrder,
 		permPos:      s.permPos,
@@ -101,11 +94,6 @@ func (s *exactSearch) taskSearch(t *coverTask, budget int, g *atomicMin, scr *se
 		frontierDepth: -1,
 		pubG:          g,
 		taskLB:        t.lb,
-	}
-	if s.banned != nil {
-		// Bans tighten against the task's own incumbent improvements;
-		// a task-local copy keeps that evolution schedule-independent.
-		c.banned = append([]bool(nil), s.banned...)
 	}
 	c.search(t.covered, t.coveredW, t.chosen)
 	*scr = c.searchScratch
@@ -220,7 +208,7 @@ func (s *exactSearch) runSubtrees(workers, maxNodes int) {
 // resultOn assembles the Result, re-expanding the chosen sets on the
 // original (pre-merge, pre-presolve) instance.
 func (s *exactSearch) resultOn(orig Instance) Result {
-	res := Result{Chosen: s.best, Feasible: true, Exact: !s.capped, SolveStats: s.effort()}
+	res := Result{Chosen: s.best, Feasible: true, Exact: !s.capped, SolveStats: s.st}
 	final := newBitset(orig.NumElements)
 	for _, si := range s.best {
 		for _, e := range orig.Sets[si] {

@@ -19,11 +19,6 @@
 //  5. simulate-confirms-promise — replaying the sampling placement at
 //     packet level in marked mode achieves the promised Σ δ_p·v_p
 //     coverage within sampling tolerance.
-//  6. resolve-equals-cold — session re-optimization (repro.Session)
-//     over a churn chain answers byte-identically to cold solves of
-//     the same mutated instances, for every registered solver: warm
-//     artifacts change effort, never answers (see session.go for the
-//     capped-search carve-out).
 //
 // The harness is ordinary (non-test) code so future CLIs or CI jobs can
 // run it against out-of-tree solvers; scenariotest's own tests wire it
@@ -149,7 +144,7 @@ func Run(ctx context.Context, eng *engine.Runner, cases []Case, invs []Invariant
 	return out, nil
 }
 
-// Invariants returns the six-entry invariant catalog (see the package
+// Invariants returns the five-entry invariant catalog (see the package
 // comment; DESIGN.md lists the same catalog).
 func Invariants() []Invariant {
 	return []Invariant{
@@ -158,7 +153,6 @@ func Invariants() []Invariant {
 		{Name: "budget-monotone", Check: checkBudgetMonotone},
 		{Name: "postsolve-feasible", Check: checkPostsolveFeasible},
 		{Name: "simulate-confirms-promise", Check: checkSimulateConfirmsPromise},
-		{Name: "resolve-equals-cold", Check: checkResolveEqualsCold},
 	}
 }
 

@@ -156,9 +156,9 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 }
 
 // ChurnDelta records the mutation Churn applied, so callers (and the
-// session layer's tests) can assert the delta is bounded: how many
-// demands were dropped and added, and the observed rescale-factor
-// range over the surviving rows.
+// churn tests) can assert the delta is bounded: how many demands were
+// dropped and added, and the observed rescale-factor range over the
+// surviving rows.
 type ChurnDelta struct {
 	// Dropped and Added count removed and fresh demands.
 	Dropped int

@@ -72,8 +72,6 @@ func init() {
 		return passive.ExactCover(ctx, in, o.Coverage, cover.ExactOptions{
 			MaxNodes: o.MaxNodes,
 			Workers:  runtime.GOMAXPROCS(0),
-			Warm:     o.warmCover,
-			Capture:  o.captureCover,
 		}), nil
 	})
 	tap(SolverTapRounding, func(ctx context.Context, in *Instance, o Options) (TapPlacement, error) {

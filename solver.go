@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cover"
 )
 
 // Problem is the instance a Solver consumes. The built-in solvers accept
@@ -120,22 +119,7 @@ type Options struct {
 	// WithFallback). Results answered by the ladder are stamped
 	// Degraded and are never memoized.
 	Fallback []string
-
-	// Session-injected warm artifacts (set only by Session, never by a
-	// public With* option): warmCover seeds the exact-cover search's
-	// root LP with the previous solve's basis, captureCover receives
-	// this solve's basis for the next Resolve. The
-	// fields are unexported on purpose — the warm path is sound only
-	// under the Delta validity rules Session enforces, and batch caching
-	// keys must never see a warm solve as a cold one (batch.go bypasses
-	// the cache whenever they are set).
-	warmCover    *cover.Warm
-	captureCover *cover.Capture
 }
-
-// sessionWarm reports whether session artifacts ride on this solve (the
-// cache-bypass trigger in batch.go).
-func (o Options) sessionWarm() bool { return o.warmCover != nil || o.captureCover != nil }
 
 // Option mutates Options; see WithDeadline and friends.
 type Option func(*Options)
