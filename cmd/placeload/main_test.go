@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro"
@@ -53,15 +56,85 @@ func TestLoad64ConcurrentNoDrops(t *testing.T) {
 	}
 }
 
+// shedGate opens once its daemon has answered some request 429.
+type shedGate struct {
+	once   sync.Once
+	opened chan struct{}
+}
+
+func (g *shedGate) open() { g.once.Do(func() { close(g.opened) }) }
+
+// shedWatch is a ResponseWriter that opens its gate when the daemon
+// writes a 429.
+type shedWatch struct {
+	http.ResponseWriter
+	gate *shedGate
+}
+
+func (w shedWatch) WriteHeader(code int) {
+	if code == http.StatusTooManyRequests {
+		w.gate.open()
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// gatedSolver answers as tap/greedy-gain once the current shedding
+// test's gate is open. Until then the first request it serves holds
+// the daemon's one in-flight slot, so the one-deep queue overflows for
+// certain, not only when the workers happen to outpace the cached
+// answers draining it.
+type gatedSolver struct{}
+
+const gatedSolverName = "tap/placeload-gated"
+
+var (
+	registerGated sync.Once
+	currentGate   atomic.Pointer[shedGate]
+)
+
+func (gatedSolver) Name() string { return gatedSolverName }
+
+func (gatedSolver) Solve(ctx context.Context, problem repro.Problem, opts ...repro.Option) (*repro.Result, error) {
+	select {
+	case <-currentGate.Load().opened:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return repro.Solve(ctx, repro.SolverTapGreedyGain, problem, opts...)
+}
+
+// newShedDaemon serves a daemon with one in-flight slot and a one-deep
+// queue, and opens gatedSolver's gate at the first request it sheds.
+func newShedDaemon(t *testing.T) *httptest.Server {
+	t.Helper()
+	registerGated.Do(func() {
+		if err := repro.RegisterSolver(gatedSolver{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	gate := &shedGate{opened: make(chan struct{})}
+	currentGate.Store(gate)
+	s, err := service.New(service.Config{MaxInFlight: 1, MaxQueue: 1})
+	if err != nil {
+		t.Fatalf("service.New: %v", err)
+	}
+	h := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(shedWatch{w, gate}, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
 // TestLoadTinyQueueShedsDeliberately squeezes the same load through a
 // one-deep queue: some requests must shed with 429, but every request
 // still gets an HTTP answer — ok + shed == n, dropped == 0.
 func TestLoadTinyQueueShedsDeliberately(t *testing.T) {
-	ts := newDaemon(t, service.Config{MaxInFlight: 1, MaxQueue: 1})
+	ts := newShedDaemon(t)
 
 	rep, err := drive(ts.URL, loadSpec{
 		N: 96, C: 64,
-		Solver: "tap/greedy-gain", Family: "waxman", Size: 16,
+		Solver: gatedSolverName, Family: "waxman", Size: 16,
 		Seeds: 2, Coverage: 0.9,
 	})
 	if err != nil {
@@ -86,11 +159,11 @@ func TestLoadTinyQueueShedsDeliberately(t *testing.T) {
 // retry layer on: shed requests come back, get retried after the
 // daemon's Retry-After, and the report shows the retries it cost.
 func TestLoadRetriesDrainSheds(t *testing.T) {
-	ts := newDaemon(t, service.Config{MaxInFlight: 1, MaxQueue: 1})
+	ts := newShedDaemon(t)
 
 	rep, err := drive(ts.URL, loadSpec{
 		N: 48, C: 32,
-		Solver: "tap/greedy-gain", Family: "waxman", Size: 16,
+		Solver: gatedSolverName, Family: "waxman", Size: 16,
 		Seeds: 2, Coverage: 0.9, Retries: 6,
 	})
 	if err != nil {

@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 )
 
 // Path is a simple path through the graph, stored both as the node
@@ -160,32 +162,42 @@ func (t *Tree) AppendEdges(dst []EdgeID, n NodeID) []EdgeID {
 	return dst
 }
 
+// hops returns the number of edges on the shortest path to the
+// reachable node n.
+func (t *Tree) hops(n NodeID) int {
+	h := 0
+	for ; n != t.src; n = t.parent[n] {
+		h++
+	}
+	return h
+}
+
+// fill writes the shortest path to n, back to front, into nodes and
+// edges, which hold exactly its hops+1 nodes and hops edges.
+func (t *Tree) fill(nodes []NodeID, edges []EdgeID, n NodeID) {
+	for i := len(edges) - 1; i >= 0; i-- {
+		nodes[i+1], edges[i] = n, t.via[n]
+		n = t.parent[n]
+	}
+	nodes[0] = n
+}
+
 // Path returns the shortest path to dst and true, or a zero Path and
-// false when dst is unreachable. It follows the via edges back to the
-// source.
+// false when dst is unreachable. It counts the hops back to the
+// source, allocates Nodes and Edges once at that length and fills
+// them back to front (the path to the source itself has nil Edges).
 func (t *Tree) Path(dst NodeID) (Path, bool) {
 	t.g.checkNode(dst)
 	if !t.Reachable(dst) {
 		return Path{}, false
 	}
-	var redges []EdgeID
-	var rnodes []NodeID
-	cur := dst
-	rnodes = append(rnodes, cur)
-	for cur != t.src {
-		id := t.via[cur]
-		redges = append(redges, id)
-		cur = t.g.edges[id].Other(cur)
-		rnodes = append(rnodes, cur)
+	h := t.hops(dst)
+	p := Path{Nodes: make([]NodeID, h+1), Cost: t.dist[dst]}
+	if h > 0 {
+		p.Edges = make([]EdgeID, h)
 	}
-	// Reverse in place.
-	for i, j := 0, len(redges)-1; i < j; i, j = i+1, j-1 {
-		redges[i], redges[j] = redges[j], redges[i]
-	}
-	for i, j := 0, len(rnodes)-1; i < j; i, j = i+1, j-1 {
-		rnodes[i], rnodes[j] = rnodes[j], rnodes[i]
-	}
-	return Path{Nodes: rnodes, Edges: redges, Cost: t.dist[dst]}, true
+	t.fill(p.Nodes, p.Edges, dst)
+	return p, true
 }
 
 // ShortestPath returns the minimum-weight path from src to dst and true,
@@ -197,34 +209,75 @@ func (g *Graph) ShortestPath(src, dst NodeID) (Path, bool) {
 	return g.ShortestPathTree(src).Path(dst)
 }
 
-// dijkstra grows the shortest-path tree from src, skipping edges for
-// which banned returns true (banned may be nil). Of the equal-cost
-// paths to a node, the tree keeps the one whose last edge has the
-// smallest ID. A graph whose links all have weight 1 gets the same tree
-// from a breadth-first search (see bfs), so only weighted graphs pay
-// for the heap.
-func (g *Graph) dijkstra(src NodeID, banned func(EdgeID) bool) *Tree {
-	n := g.NumNodes()
-	t := &Tree{g: g, src: src, dist: make([]float64, n), via: make([]EdgeID, n), parent: make([]NodeID, n)}
+// bans marks what a search may not use: every edge set in edge and
+// every edge with an end set in node. A nil *bans bans nothing.
+type bans struct {
+	edge []bool
+	node []bool
+}
+
+func (b *bans) has(id EdgeID, e *Edge) bool {
+	return b.edge[id] || b.node[e.U] || b.node[e.V]
+}
+
+// scratch is the working memory of a search: the breadth-first queue,
+// or Dijkstra's heap and settled marks. The zero value is ready to use.
+type scratch struct {
+	queue []NodeID
+	heap  []pqItem
+	done  []bool
+}
+
+// resized returns s with length n, reusing its array when it is large
+// enough. The contents are not cleared.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// dijkstra grows a new shortest-path tree from src, skipping the edges
+// b bans (b may be nil).
+func (g *Graph) dijkstra(src NodeID, b *bans) *Tree {
+	t := &Tree{g: g}
+	t.grow(src, b, &scratch{})
+	return t
+}
+
+// grow makes t the shortest-path tree from src, skipping the edges b
+// bans, in t's own arrays and s's buffers when they are large enough.
+// Of the equal-cost paths to a node, the tree keeps the one whose last
+// edge has the smallest ID. A graph whose links all have weight 1 gets
+// the same tree from a breadth-first search (see bfs), so only
+// weighted graphs pay for the heap.
+func (t *Tree) grow(src NodeID, b *bans, s *scratch) {
+	n := t.g.NumNodes()
+	t.src = src
+	t.dist, t.via, t.parent = resized(t.dist, n), resized(t.via, n), resized(t.parent, n)
 	for i := range t.dist {
 		t.dist[i] = math.Inf(1)
 		t.via[i] = -1
 		t.parent[i] = -1
 	}
 	t.dist[src] = 0
-	if g.weighted {
-		t.heapSearch(banned)
+	if t.g.weighted {
+		t.heapSearch(b, s)
 	} else {
-		t.bfs(banned)
+		t.bfs(b, s)
 	}
-	return t
 }
 
 // heapSearch is Dijkstra on a binary heap, for any positive weights.
-func (t *Tree) heapSearch(banned func(EdgeID) bool) {
+func (t *Tree) heapSearch(b *bans, s *scratch) {
 	g, dist, via := t.g, t.dist, t.via
-	q := append(make([]pqItem, 0, len(dist)), pqItem{node: t.src, dist: 0})
-	done := make([]bool, len(dist))
+	if cap(s.heap) < len(dist) {
+		s.heap = make([]pqItem, 0, len(dist))
+	}
+	q := append(s.heap[:0], pqItem{node: t.src, dist: 0})
+	s.done = resized(s.done, len(dist))
+	done := s.done
+	clear(done)
 	for len(q) > 0 {
 		var it pqItem
 		it, q = pop(q)
@@ -234,10 +287,10 @@ func (t *Tree) heapSearch(banned func(EdgeID) bool) {
 		}
 		done[u] = true
 		for _, id := range g.adj[u] {
-			if banned != nil && banned(id) {
+			e := &g.edges[id]
+			if b != nil && b.has(id, e) {
 				continue
 			}
-			e := &g.edges[id]
 			v := e.U
 			if v == u {
 				v = e.V
@@ -253,6 +306,7 @@ func (t *Tree) heapSearch(banned func(EdgeID) bool) {
 			}
 		}
 	}
+	s.heap = q
 }
 
 // bfs is the search for a graph whose links all have weight 1. A FIFO
@@ -263,17 +317,20 @@ func (t *Tree) heapSearch(banned func(EdgeID) bool) {
 // float tolerance never matters, and both searches scan every edge
 // from the layer before v's, so both end with via[v] the smallest ID
 // among them.
-func (t *Tree) bfs(banned func(EdgeID) bool) {
+func (t *Tree) bfs(b *bans, s *scratch) {
 	g, dist, via := t.g, t.dist, t.via
-	queue := append(make([]NodeID, 0, len(dist)), t.src)
+	if cap(s.queue) < len(dist) {
+		s.queue = make([]NodeID, 0, len(dist))
+	}
+	queue := append(s.queue[:0], t.src)
 	for i := 0; i < len(queue); i++ {
 		u := queue[i]
 		d := dist[u] + 1
 		for _, id := range g.adj[u] {
-			if banned != nil && banned(id) {
+			e := &g.edges[id]
+			if b != nil && b.has(id, e) {
 				continue
 			}
-			e := &g.edges[id]
 			v := e.U
 			if v == u {
 				v = e.V
@@ -287,6 +344,7 @@ func (t *Tree) bfs(banned func(EdgeID) bool) {
 			}
 		}
 	}
+	s.queue = queue
 }
 
 // KShortestPaths returns up to k loopless shortest paths from src to dst
@@ -296,51 +354,39 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int) []Path {
 	if k <= 0 {
 		return nil
 	}
-	first, ok := g.ShortestPath(src, dst)
+	return g.ShortestPathTree(src).KShortestPaths(dst, k)
+}
+
+// KShortestPaths is Graph.KShortestPaths from the tree's source, whose
+// first path is t.Path(dst): callers routing several destinations from
+// one source share the tree. The spur searches run in pooled scratch:
+// ban marks and one spur tree regrown in place.
+func (t *Tree) KShortestPaths(dst NodeID, k int) []Path {
+	if k <= 0 {
+		return nil
+	}
+	first, ok := t.Path(dst)
 	if !ok {
 		return nil
 	}
+	y := yenPool.Get().(*yen)
+	y.reset(t.g)
 	paths := []Path{first}
 	var candidates []Path
 	for len(paths) < k {
 		prev := paths[len(paths)-1]
-		// For each node of the previous path except the last, compute a
+		// For each node of the previous path except the last, look for a
 		// spur path that deviates there.
-		for i := 0; i < len(prev.Nodes)-1; i++ {
-			spurNode := prev.Nodes[i]
-			rootNodes := prev.Nodes[:i+1]
-			rootEdges := prev.Edges[:i]
-
-			bannedEdges := make(map[EdgeID]bool)
-			for _, p := range paths {
-				if sharesRoot(p, rootNodes) && p.Len() > i {
-					bannedEdges[p.Edges[i]] = true
-				}
-			}
-			bannedNodes := make(map[NodeID]bool)
-			for _, n := range rootNodes[:len(rootNodes)-1] {
-				bannedNodes[n] = true
-			}
-			ban := func(id EdgeID) bool {
-				if bannedEdges[id] {
-					return true
-				}
-				e := g.edges[id]
-				return bannedNodes[e.U] || bannedNodes[e.V]
-			}
-			spur, ok := g.dijkstra(spurNode, ban).Path(dst)
-			if !ok {
-				continue
-			}
-			total := joinPaths(g, rootNodes, rootEdges, spur)
-			if !containsPath(paths, total) && !containsPath(candidates, total) {
-				candidates = append(candidates, total)
+		for i := 0; i < prev.Len(); i++ {
+			if c, ok := y.spur(paths, i, dst); ok && !hasPath(paths, c) && !hasPath(candidates, c) {
+				candidates = append(candidates, c)
 			}
 		}
+		clear(y.node)
 		if len(candidates) == 0 {
 			break
 		}
-		// Extract the cheapest candidate.
+		// Accept the cheapest candidate, the first of equal cost.
 		best := 0
 		for i := 1; i < len(candidates); i++ {
 			if candidates[i].Cost < candidates[best].Cost {
@@ -350,48 +396,74 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int) []Path {
 		paths = append(paths, candidates[best])
 		candidates = append(candidates[:best], candidates[best+1:]...)
 	}
+	y.tree.g = nil
+	yenPool.Put(y)
 	return paths
 }
 
-func sharesRoot(p Path, rootNodes []NodeID) bool {
-	if len(p.Nodes) < len(rootNodes) {
-		return false
+// yen is the working memory of Tree.KShortestPaths: the ban marks and
+// the spur tree of its searches.
+type yen struct {
+	bans
+	scratch
+	tree   Tree     // the current spur tree
+	banned []EdgeID // edges marked for the current spur search
+}
+
+var yenPool = sync.Pool{New: func() any { return new(yen) }}
+
+func (y *yen) reset(g *Graph) {
+	y.tree.g = g
+	y.edge = resized(y.edge, g.NumEdges())
+	y.node = resized(y.node, g.NumNodes())
+	clear(y.edge)
+	clear(y.node)
+}
+
+// spur returns the path to dst that follows the last of paths for its
+// first i edges and leaves it at its i-th node by an edge no path of
+// paths with the same root takes there, avoiding the root's other
+// nodes, and whether there is one.
+func (y *yen) spur(paths []Path, i int, dst NodeID) (Path, bool) {
+	prev := paths[len(paths)-1]
+	root := prev.Nodes[:i+1]
+	if i > 0 {
+		// The root's nodes before the spur node, marked one per step;
+		// KShortestPaths clears them once prev's spurs are done.
+		y.node[root[i-1]] = true
 	}
-	for i, n := range rootNodes {
-		if p.Nodes[i] != n {
-			return false
+	for _, p := range paths {
+		if p.Len() > i && slices.Equal(p.Nodes[:i+1], root) {
+			y.edge[p.Edges[i]] = true
+			y.banned = append(y.banned, p.Edges[i])
 		}
 	}
-	return true
-}
-
-func joinPaths(g *Graph, rootNodes []NodeID, rootEdges []EdgeID, spur Path) Path {
-	nodes := append(append([]NodeID(nil), rootNodes...), spur.Nodes[1:]...)
-	edges := append(append([]EdgeID(nil), rootEdges...), spur.Edges...)
-	var cost float64
-	for _, id := range edges {
-		cost += g.edges[id].Weight
+	y.tree.grow(root[i], &y.bans, &y.scratch)
+	for _, id := range y.banned {
+		y.edge[id] = false
 	}
-	return Path{Nodes: nodes, Edges: edges, Cost: cost}
+	y.banned = y.banned[:0]
+	if !y.tree.Reachable(dst) {
+		return Path{}, false
+	}
+	// The root, then the spur path, whose first node is the root's last.
+	h := y.tree.hops(dst)
+	c := Path{Nodes: make([]NodeID, i+h+1), Edges: make([]EdgeID, i+h)}
+	copy(c.Nodes, root)
+	copy(c.Edges, prev.Edges[:i])
+	y.tree.fill(c.Nodes[i:], c.Edges[i:], dst)
+	for _, id := range c.Edges {
+		c.Cost += y.tree.g.edges[id].Weight
+	}
+	return c, true
 }
 
-func containsPath(ps []Path, p Path) bool {
+// hasPath reports whether ps has a path with p's edge sequence.
+func hasPath(ps []Path, p Path) bool {
 	for _, q := range ps {
-		if equalEdges(q.Edges, p.Edges) {
+		if slices.Equal(q.Edges, p.Edges) {
 			return true
 		}
 	}
 	return false
-}
-
-func equalEdges(a, b []EdgeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

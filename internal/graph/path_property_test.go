@@ -199,16 +199,17 @@ func TestDijkstraMatchesContainerHeap(t *testing.T) {
 				g.AddWeightedEdge(u, v, 1, float64(1+rng.Intn(3)))
 			}
 		}
+		var b *bans
 		var banned func(EdgeID) bool
 		if seed%2 == 1 {
-			ban := make([]bool, g.NumEdges())
-			for i := range ban {
-				ban[i] = rng.Intn(4) == 0
+			b = &bans{edge: make([]bool, g.NumEdges()), node: make([]bool, n)}
+			for i := range b.edge {
+				b.edge[i] = rng.Intn(4) == 0
 			}
-			banned = func(id EdgeID) bool { return ban[id] }
+			banned = func(id EdgeID) bool { return b.edge[id] }
 		}
 		src := NodeID(rng.Intn(n))
-		tr := g.dijkstra(src, banned)
+		tr := g.dijkstra(src, b)
 		wantDist, wantVia := refDijkstra(g, src, banned)
 		if !reflect.DeepEqual(tr.dist, wantDist) || !reflect.DeepEqual(tr.via, wantVia) {
 			t.Fatalf("seed %d: dist %v via %v, container/heap gives dist %v via %v", seed, tr.dist, tr.via, wantDist, wantVia)
@@ -265,19 +266,15 @@ func unitMultigraph(rng *rand.Rand) *Graph {
 
 // yenBan bans edges as a Yen spur search does: a random set of edges,
 // and every edge at a random set of nodes other than src.
-func yenBan(rng *rand.Rand, g *Graph, src NodeID) func(EdgeID) bool {
-	edges := make([]bool, g.NumEdges())
-	for i := range edges {
-		edges[i] = rng.Intn(6) == 0
+func yenBan(rng *rand.Rand, g *Graph, src NodeID) *bans {
+	b := &bans{edge: make([]bool, g.NumEdges()), node: make([]bool, g.NumNodes())}
+	for i := range b.edge {
+		b.edge[i] = rng.Intn(6) == 0
 	}
-	nodes := make([]bool, g.NumNodes())
-	for i := range nodes {
-		nodes[i] = NodeID(i) != src && rng.Intn(5) == 0
+	for i := range b.node {
+		b.node[i] = NodeID(i) != src && rng.Intn(5) == 0
 	}
-	return func(id EdgeID) bool {
-		e := g.edges[id]
-		return edges[id] || nodes[e.U] || nodes[e.V]
-	}
+	return b
 }
 
 // Lock: on graphs whose links all have weight 1 the breadth-first
@@ -299,7 +296,7 @@ func TestBFSMatchesHeapDijkstra(t *testing.T) {
 		}
 		n := g.NumNodes()
 		for s := NodeID(0); int(s) < n; s++ {
-			for bi, ban := range []func(EdgeID) bool{nil, yenBan(rng, g, s)} {
+			for bi, ban := range []*bans{nil, yenBan(rng, g, s)} {
 				bt, ht := g.dijkstra(s, ban), heapG.dijkstra(s, ban)
 				if !reflect.DeepEqual(bt.dist, ht.dist) || !reflect.DeepEqual(bt.via, ht.via) || !reflect.DeepEqual(bt.parent, ht.parent) {
 					t.Fatalf("seed %d src %d ban %d: BFS dist %v via %v parent %v, heap dist %v via %v parent %v",

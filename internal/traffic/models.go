@@ -155,55 +155,27 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 	return c
 }
 
-// ChurnDelta records the mutation Churn applied, so callers (and the
-// churn tests) can assert the delta is bounded: how many demands were
-// dropped and added, and the observed rescale-factor range over the
-// surviving rows.
-type ChurnDelta struct {
-	// Dropped and Added count removed and fresh demands.
-	Dropped int
-	Added   int
-	// Rescaled counts demands whose volume was multiplied by a factor;
-	// MinFactor and MaxFactor bound the factors actually drawn (both 0
-	// when Rescaled is 0). Always within [cfg.RescaleLow,
-	// cfg.RescaleHigh].
-	Rescaled  int
-	MinFactor float64
-	MaxFactor float64
-	// Clamped counts output volumes the sanitation guard replaced
-	// because they came out non-positive or non-finite (possible only
-	// when the input already carried garbage volumes).
-	Clamped int
-}
-
 // Churn mutates a demand set the way a live POP drifts between
 // re-optimizations (§5.4's dynamic scenarios): a fraction of traffics
 // disappears, fresh traffics appear between random endpoint pairs (at
 // the surviving demands' mean volume), and every volume is rescaled by
-// a random factor. The input slice is not modified. It errors when the
-// POP has fewer than 2 endpoints and demands must be added.
+// a random factor. The input slice is not modified. The output never
+// carries a negative, zero, NaN or Inf volume, even when the input
+// does: such volumes are replaced by a small positive fallback. It
+// errors when the POP has fewer than 2 endpoints and demands must be
+// added.
 func Churn(pop *topology.POP, demands []Demand, cfg ChurnConfig) ([]Demand, error) {
-	out, _, err := ChurnWithDelta(pop, demands, cfg)
-	return out, err
-}
-
-// ChurnWithDelta is Churn plus the applied-mutation record. The output
-// demands never carry negative, zero, NaN or Inf volumes, even when
-// the input does: such volumes are clamped to a small positive
-// fallback (and counted in ChurnDelta.Clamped).
-func ChurnWithDelta(pop *topology.POP, demands []Demand, cfg ChurnConfig) ([]Demand, ChurnDelta, error) {
 	cfg = cfg.withDefaults()
-	var delta ChurnDelta
 	if cfg.RescaleLow <= 0 || cfg.RescaleHigh < cfg.RescaleLow || math.IsInf(cfg.RescaleHigh, 0) || math.IsNaN(cfg.RescaleLow) || math.IsNaN(cfg.RescaleHigh) {
-		return nil, delta, fmt.Errorf("traffic: bad rescale range [%g, %g]", cfg.RescaleLow, cfg.RescaleHigh)
+		return nil, fmt.Errorf("traffic: bad rescale range [%g, %g]", cfg.RescaleLow, cfg.RescaleHigh)
 	}
 	if !(cfg.Drop >= 0 && cfg.Drop <= 1) {
-		return nil, delta, fmt.Errorf("traffic: drop fraction %g outside [0, 1]", cfg.Drop)
+		return nil, fmt.Errorf("traffic: drop fraction %g outside [0, 1]", cfg.Drop)
 	}
 	// A growth factor above 1000× is a config bug, not churn; the bound
 	// also keeps hostile fractions from demanding absurd allocations.
 	if !(cfg.Add >= 0 && cfg.Add <= 1000) {
-		return nil, delta, fmt.Errorf("traffic: add fraction %g outside [0, 1000]", cfg.Add)
+		return nil, fmt.Errorf("traffic: add fraction %g outside [0, 1000]", cfg.Add)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var out []Demand
@@ -211,7 +183,6 @@ func ChurnWithDelta(pop *topology.POP, demands []Demand, cfg ChurnConfig) ([]Dem
 	finite := 0
 	for _, d := range demands {
 		if rng.Float64() < cfg.Drop {
-			delta.Dropped++
 			continue
 		}
 		out = append(out, d)
@@ -231,7 +202,7 @@ func ChurnWithDelta(pop *topology.POP, demands []Demand, cfg ChurnConfig) ([]Dem
 	add := int(float64(len(demands))*cfg.Add + 0.5)
 	eps := pop.Endpoints
 	if add > 0 && len(eps) < 2 {
-		return nil, delta, fmt.Errorf("traffic: churn needs ≥2 endpoints to add demands, got %d", len(eps))
+		return nil, fmt.Errorf("traffic: churn needs ≥2 endpoints to add demands, got %d", len(eps))
 	}
 	for i := 0; i < add; i++ {
 		s := eps[rng.Intn(len(eps))]
@@ -241,21 +212,8 @@ func ChurnWithDelta(pop *topology.POP, demands []Demand, cfg ChurnConfig) ([]Dem
 		}
 		out = append(out, Demand{Src: s, Dst: d, Volume: mean * (0.5 + rng.Float64())})
 	}
-	delta.Added = add
 	for i := range out {
-		f := cfg.RescaleLow + rng.Float64()*(cfg.RescaleHigh-cfg.RescaleLow)
-		out[i].Volume *= f
-		delta.Rescaled++
-		if delta.Rescaled == 1 {
-			delta.MinFactor, delta.MaxFactor = f, f
-		} else {
-			if f < delta.MinFactor {
-				delta.MinFactor = f
-			}
-			if f > delta.MaxFactor {
-				delta.MaxFactor = f
-			}
-		}
+		out[i].Volume *= cfg.RescaleLow + rng.Float64()*(cfg.RescaleHigh-cfg.RescaleLow)
 	}
 	// Guard against unusable volumes (core.Validate rejects them). The
 	// <= 0 comparison alone would wave NaN (every comparison false) and
@@ -263,10 +221,9 @@ func ChurnWithDelta(pop *topology.POP, demands []Demand, cfg ChurnConfig) ([]Dem
 	for i := range out {
 		if v := out[i].Volume; !(v > 0) || math.IsInf(v, 0) || math.IsNaN(v) {
 			out[i].Volume = mean / 100
-			delta.Clamped++
 		}
 	}
-	return out, delta, nil
+	return out, nil
 }
 
 // Aggregate merges duplicate (src, dst) demands by summing their

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -32,7 +33,8 @@ type Config struct {
 	// Seed drives the random volumes and the preferred-pair choice.
 	Seed int64
 	// PreferredPairs is the number of endpoint pairs boosted to hot
-	// volume; default max(2, endpoints/6).
+	// volume; default max(2, endpoints/6). A count above the n·(n−1)
+	// ordered pairs of n endpoints is clamped to it: every pair is hot.
 	PreferredPairs int
 	// BaseVolume is the maximum volume of a normal demand (uniform in
 	// (0, BaseVolume]); default 10.
@@ -47,6 +49,9 @@ func (c Config) withDefaults(endpoints int) Config {
 		if c.PreferredPairs < 2 {
 			c.PreferredPairs = 2
 		}
+	}
+	if pairs := endpoints * (endpoints - 1); c.PreferredPairs > pairs {
+		c.PreferredPairs = pairs
 	}
 	if c.BaseVolume == 0 {
 		c.BaseVolume = 10
@@ -74,7 +79,7 @@ func Demands(pop *topology.POP, cfg Config) []Demand {
 		}
 	}
 
-	var out []Demand
+	out := slices.Grow([]Demand(nil), len(eps)*(len(eps)-1))
 	for _, s := range eps {
 		for _, d := range eps {
 			if s == d {
@@ -95,24 +100,39 @@ func Demands(pop *topology.POP, cfg Config) []Demand {
 
 // Route builds a single-routed PPM instance: every demand follows its
 // shortest path (the paper's §4.4 assumption; paths are not assumed
-// symmetric).
+// symmetric). It grows one shortest-path tree per distinct source and
+// counts each path's hops, then cuts every path's Nodes and Edges from
+// two arrays of exact size, each capped at its own length so that an
+// append to one path copies it instead of overwriting the next.
 func Route(pop *topology.POP, demands []Demand) (*core.Instance, error) {
-	in := &core.Instance{G: pop.G}
-	// One shortest-path tree per distinct source.
-	bySrc := make(map[graph.NodeID]*graph.Tree)
+	trees, err := sourceTrees(pop.G, demands)
+	if err != nil {
+		return nil, err
+	}
+	hops := 0
+	for _, d := range demands {
+		t := trees[d.Src]
+		for n := d.Dst; n != d.Src; n = t.Parent(n) {
+			hops++
+		}
+	}
+	nodes := make([]graph.NodeID, hops+len(demands))
+	edges := make([]graph.EdgeID, hops)
+	in := &core.Instance{G: pop.G, Traffics: slices.Grow([]core.Traffic(nil), len(demands))}
 	for i, d := range demands {
-		if err := routable(pop.G, i, d); err != nil {
-			return nil, err
+		t := trees[d.Src]
+		h := 0
+		for n := d.Dst; n != d.Src; n = t.Parent(n) {
+			h++
 		}
-		tree, ok := bySrc[d.Src]
-		if !ok {
-			tree = pop.G.ShortestPathTree(d.Src)
-			bySrc[d.Src] = tree
+		p := graph.Path{Nodes: nodes[: h+1 : h+1], Edges: edges[:h:h], Cost: t.Dist(d.Dst)}
+		nodes, edges = nodes[h+1:], edges[h:]
+		n := d.Dst
+		for j := h - 1; j >= 0; j-- {
+			p.Nodes[j+1], p.Edges[j] = n, t.Via(n)
+			n = t.Parent(n)
 		}
-		if !tree.Reachable(d.Dst) {
-			return nil, fmt.Errorf("traffic: demand %d: no route %d→%d", i, d.Src, d.Dst)
-		}
-		p, _ := tree.Path(d.Dst)
+		p.Nodes[0] = n
 		in.Traffics = append(in.Traffics, core.Traffic{ID: i, Path: p, Volume: d.Volume})
 	}
 	return in, nil
@@ -121,32 +141,53 @@ func Route(pop *topology.POP, demands []Demand) (*core.Instance, error) {
 // RouteMulti builds a §5 multi-routed instance: each demand is split
 // over up to maxRoutes loopless shortest routes; the split is weighted
 // by inverse path cost (shorter routes carry more), normalizing to the
-// demand volume, which mimics load-balanced IGP routing.
+// demand volume, which mimics load-balanced IGP routing. Demands from
+// one source share its shortest-path tree, from which Yen's search
+// takes their first route.
 func RouteMulti(pop *topology.POP, demands []Demand, maxRoutes int) (*core.MultiInstance, error) {
 	if maxRoutes < 1 {
 		return nil, fmt.Errorf("traffic: maxRoutes %d < 1", maxRoutes)
 	}
-	mi := &core.MultiInstance{G: pop.G}
+	trees, err := sourceTrees(pop.G, demands)
+	if err != nil {
+		return nil, err
+	}
+	mi := &core.MultiInstance{G: pop.G, Traffics: slices.Grow([]core.MultiTraffic(nil), len(demands))}
 	for i, d := range demands {
-		if err := routable(pop.G, i, d); err != nil {
-			return nil, err
-		}
-		paths := pop.G.KShortestPaths(d.Src, d.Dst, maxRoutes)
-		if len(paths) == 0 {
-			return nil, fmt.Errorf("traffic: demand %d: no route %d→%d", i, d.Src, d.Dst)
-		}
+		paths := trees[d.Src].KShortestPaths(d.Dst, maxRoutes)
 		inv := 0.0
 		for _, p := range paths {
 			inv += 1 / p.Cost
 		}
-		mt := core.MultiTraffic{ID: i, Src: d.Src, Dst: d.Dst}
-		for _, p := range paths {
+		mt := core.MultiTraffic{ID: i, Src: d.Src, Dst: d.Dst, Routes: make([]core.Route, len(paths))}
+		for j, p := range paths {
 			share := (1 / p.Cost) / inv
-			mt.Routes = append(mt.Routes, core.Route{Path: p, Volume: d.Volume * share})
+			mt.Routes[j] = core.Route{Path: p, Volume: d.Volume * share}
 		}
 		mi.Traffics = append(mi.Traffics, mt)
 	}
 	return mi, nil
+}
+
+// sourceTrees checks that every demand is routable and reachable and
+// returns the shortest-path trees they route on, indexed by source
+// node: one per distinct source, nil for every other node.
+func sourceTrees(g *graph.Graph, demands []Demand) ([]*graph.Tree, error) {
+	trees := make([]*graph.Tree, g.NumNodes())
+	for i, d := range demands {
+		if err := routable(g, i, d); err != nil {
+			return nil, err
+		}
+		t := trees[d.Src]
+		if t == nil {
+			t = g.ShortestPathTree(d.Src)
+			trees[d.Src] = t
+		}
+		if !t.Reachable(d.Dst) {
+			return nil, fmt.Errorf("traffic: demand %d: no route %d→%d", i, d.Src, d.Dst)
+		}
+	}
+	return trees, nil
 }
 
 // routable rejects demand i when no route can carry it: an endpoint

@@ -2,10 +2,14 @@ package traffic
 
 import (
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/topology"
 )
@@ -218,4 +222,112 @@ func TestRouteProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDemandsClampsPreferredPairs: asking for more hot pairs than the
+// n·(n−1) ordered endpoint pairs makes every pair hot, as asking for
+// exactly that many does, instead of drawing hot pairs forever.
+func TestDemandsClampsPreferredPairs(t *testing.T) {
+	pop := topology.Generate(topology.Config{Routers: 3, InterRouterLinks: 3, Endpoints: 3, Seed: 1})
+	done := make(chan []Demand, 1)
+	go func() { done <- Demands(pop, Config{Seed: 1, PreferredPairs: 7}) }()
+	select {
+	case got := <-done:
+		want := Demands(pop, Config{Seed: 1, PreferredPairs: 6})
+		if len(want) != 6 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("PreferredPairs 7 gave %v, PreferredPairs 6 gives %v", got, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Demands with 7 preferred pairs over 3 endpoints (6 ordered pairs) did not return within 5s")
+	}
+}
+
+// TestRoutePathsDoNotAlias: Route and RouteMulti cut every path from
+// arrays shared by the whole instance, each capped at its own length,
+// so appending to one traffic's Nodes or Edges copies them and leaves
+// every other path as it was.
+func TestRoutePathsDoNotAlias(t *testing.T) {
+	pop := paperPOP(8)
+	demands := Demands(pop, Config{Seed: 8})
+	in, err := Route(pop, demands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mi, err := RouteMulti(pop, demands, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []graph.Path
+	for _, tr := range in.Traffics {
+		paths = append(paths, tr.Path)
+	}
+	for _, tr := range mi.Traffics {
+		for _, r := range tr.Routes {
+			paths = append(paths, r.Path)
+		}
+	}
+	before := make([]graph.Path, len(paths))
+	for i, p := range paths {
+		before[i] = p.Clone()
+	}
+	for _, p := range paths {
+		_ = append(p.Nodes, -1)
+		_ = append(p.Edges, -1)
+	}
+	for i, p := range paths {
+		if !reflect.DeepEqual(p, before[i]) {
+			t.Fatalf("path %d changed from %+v to %+v after appends to the paths", i, before[i], p)
+		}
+	}
+}
+
+// TestRouteAllocationBudget: routing the Figure 8 instance (1,980
+// demands from 45 sources) allocates per distinct source, for its
+// shortest-path tree, and per instance, never per path: at most 6
+// allocations per source plus 10.
+func TestRouteAllocationBudget(t *testing.T) {
+	pop := topology.Generate(topology.Paper15)
+	demands := Demands(pop, Config{Seed: 1})
+	budget := 6*len(pop.Endpoints) + 10
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Route(pop, demands); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > float64(budget) {
+		t.Fatalf("Route made %.0f allocations on %d demands from %d sources, budget %d", allocs, len(demands), len(pop.Endpoints), budget)
+	}
+}
+
+// TestRouteMultiConcurrent: Yen's spur searches borrow pooled scratch,
+// so RouteMulti calls running at once, on one POP and on different
+// ones, must each build the instance a lone call builds.
+func TestRouteMultiConcurrent(t *testing.T) {
+	pops := []*topology.POP{paperPOP(1), paperPOP(2), modelPOP(3)}
+	demands := make([][]Demand, len(pops))
+	want := make([]*core.MultiInstance, len(pops))
+	for i, pop := range pops {
+		demands[i] = Demands(pop, Config{Seed: int64(i)})
+		mi, err := RouteMulti(pop, demands[i], 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = mi
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 3; r++ {
+				i := (g + r) % len(pops)
+				got, err := RouteMulti(pops[i], demands[i], 3)
+				if err != nil || !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d round %d: RouteMulti on POP %d differs from a lone call (err %v)", g, r, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
